@@ -197,6 +197,14 @@ class Checker {
     if (f.dram_base >= cm_.total_dram_words) {
       Violation("SAVE writes past the DRAM map");
     }
+    // Every SAVE writes upward from its base, so a base at or above
+    // fmap_base keeps the weight and bias images below it intact — the
+    // Runtime keeps them resident across inferences on that guarantee.
+    if (f.dram_base < cm_.fmap_base) {
+      Violation("SAVE writes into the weight image (base " +
+                std::to_string(f.dram_base) + " below fmap base " +
+                std::to_string(cm_.fmap_base) + ")");
+    }
     // Residency bookkeeping: a keep-resident SAVE marks its slot (the
     // consumer's LOAD_INP_KR will read it); a plain SAVE re-claims the slot
     // for DRAM (slot reuse after the resident tensor dies).

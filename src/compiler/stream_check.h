@@ -4,7 +4,9 @@
 //   * handshake token imbalance on any of the four FIFO channels,
 //   * ping-pong credit underflow (more than `depth` outstanding buffers),
 //   * buffer-capacity violations per slab,
-//   * DRAM accesses outside the compiled memory map,
+//   * DRAM accesses outside the compiled memory map, and SAVEs into the
+//     weight/bias image below cm.fmap_base (which the Runtime keeps
+//     resident across inferences),
 //   * COMP/SAVE half mismatches (an emit whose SAVE reads the other half).
 #ifndef HDNN_COMPILER_STREAM_CHECK_H_
 #define HDNN_COMPILER_STREAM_CHECK_H_

@@ -1,10 +1,12 @@
 #include "compiler/weight_pack.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.h"
 #include "common/math_util.h"
 #include "common/prng.h"
+#include "estimator/latency_cache.h"
 #include "winograd/decompose.h"
 #include "winograd/matrices.h"
 #include "winograd/transform.h"
@@ -15,6 +17,40 @@ namespace {
 int PaddedK(const ConvLayer& layer, const AccelConfig& cfg) {
   return static_cast<int>(
       RoundUp<std::int64_t>(layer.out_channels, cfg.po));
+}
+
+/// Folds a tensor's shape and then its bytes into `h`, 32 bytes per step
+/// (the last step zero-padded). Four independent lanes keep the multiplies
+/// overlapped; each lane step is a bijection of the lane for a given word,
+/// and the fold a bijection of each lane, so one changed word always
+/// changes the result.
+template <typename T>
+std::uint64_t HashTensor(std::uint64_t h, const Tensor<T>& t) {
+  h = HashCombine(h, static_cast<std::uint64_t>(t.shape().rank()));
+  for (const std::int64_t d : t.shape().dims()) {
+    h = HashCombine(h, static_cast<std::uint64_t>(d));
+  }
+  std::uint64_t lane[4] = {h, h + 1, h + 2, h + 3};
+  const auto step = [&lane](const unsigned char* p) {
+    for (int j = 0; j < 4; ++j) {
+      std::uint64_t word;
+      std::memcpy(&word, p + 8 * j, 8);
+      lane[j] = (lane[j] ^ word) * 0x9e3779b97f4a7c15ULL;  // odd: invertible
+      lane[j] ^= lane[j] >> 32;
+    }
+  };
+  const auto* p = reinterpret_cast<const unsigned char*>(t.data());
+  // storage(), not elements(): a default-constructed (absent) tensor has
+  // rank 0, one nominal element and no storage.
+  std::size_t bytes = t.storage().size() * sizeof(T);
+  for (; bytes >= 32; p += 32, bytes -= 32) step(p);
+  if (bytes > 0) {
+    unsigned char last[32] = {};
+    std::memcpy(last, p, bytes);
+    step(last);
+  }
+  for (const std::uint64_t l : lane) h = HashCombine(h, l);
+  return h;
 }
 
 }  // namespace
@@ -183,6 +219,38 @@ void WriteWeightImages(const CompiledModel& cm, const Model& model,
           static_cast<std::int16_t>(u >> 16);
     }
   }
+}
+
+std::uint64_t WeightImageKey(const CompiledModel& cm, const Model& model,
+                             const ModelWeightsQ& weights) {
+  std::uint64_t h = 0;
+  for (const std::int64_t v :
+       {std::int64_t{cm.cfg.pi}, std::int64_t{cm.cfg.po},
+        std::int64_t{cm.cfg.pt}, cm.fmap_base, cm.total_dram_words,
+        std::int64_t{model.num_layers()},
+        static_cast<std::int64_t>(weights.size())}) {
+    h = HashCombine(h, static_cast<std::uint64_t>(v));
+  }
+  for (int li = 0; li < model.num_layers(); ++li) {
+    const ConvLayer& layer = model.layer(li);
+    const LayerPlan& plan = cm.plans[static_cast<std::size_t>(li)];
+    const GroupCounts& g = plan.groups;
+    for (const std::int64_t v :
+         {std::int64_t{layer.out_channels}, std::int64_t{layer.in_channels},
+          std::int64_t{layer.kernel_h}, std::int64_t{layer.kernel_w},
+          static_cast<std::int64_t>(plan.mapping.mode),
+          std::int64_t{plan.in_shape.channels}, std::int64_t{g.gk},
+          std::int64_t{g.k_per_group}, std::int64_t{g.cb},
+          std::int64_t{g.c_per_block}, std::int64_t{g.slices},
+          std::int64_t{plan.u_shift}, plan.wgt_dram_base,
+          plan.bias_dram_base}) {
+      h = HashCombine(h, static_cast<std::uint64_t>(v));
+    }
+  }
+  for (const LayerWeightsQ& lw : weights) {
+    h = HashTensor(HashTensor(h, lw.weights), lw.bias);
+  }
+  return h;
 }
 
 ModelWeightsQ SyntheticWeights(const Model& model, std::uint64_t seed) {

@@ -52,6 +52,17 @@ std::int64_t BiasImageWords(const ConvLayer& layer, const AccelConfig& cfg);
 void WriteWeightImages(const CompiledModel& cm, const Model& model,
                        const ModelWeightsQ& weights, DramModel& dram);
 
+/// Content key of the image WriteWeightImages writes: a 64-bit hash of
+/// everything it reads — cfg.pi/po/pt, the memory map's extent, each
+/// layer's geometry, plan mode, groups, u_shift and weight/bias bases, and
+/// the weight and bias tensors' shapes and bytes (read in 8-byte words).
+/// Built from content only, never from addresses, so a tensor mutated in
+/// place gets a new key; a single changed word always does. Equal keys
+/// mean an identical image up to a 64-bit collision among multi-word
+/// changes.
+std::uint64_t WeightImageKey(const CompiledModel& cm, const Model& model,
+                             const ModelWeightsQ& weights);
+
 /// Deterministic synthetic quantised weights for experiments (paper
 /// substitution: pretrained VGG16 -> seeded synthetic parameters).
 ModelWeightsQ SyntheticWeights(const Model& model, std::uint64_t seed);

@@ -14,9 +14,14 @@ DramModel::DramModel(std::int64_t words) {
   words_.assign(static_cast<std::size_t>(words), 0);
 }
 
-void DramModel::Reset(std::int64_t words) {
+void DramModel::Reset(std::int64_t words, std::int64_t keep_words) {
   HDNN_CHECK(words > 0) << "DRAM size must be positive";
-  words_.assign(static_cast<std::size_t>(words), 0);
+  HDNN_CHECK(keep_words >= 0 && keep_words <= std::min(words, size_words()))
+      << "cannot keep " << keep_words << " words across a reset from "
+      << size_words() << " to " << words << " words";
+  words_.resize(static_cast<std::size_t>(words));
+  std::fill(words_.begin() + static_cast<std::ptrdiff_t>(keep_words),
+            words_.end(), 0);
   next_free_ = 0;
   words_read_ = 0;
   words_written_ = 0;

@@ -19,7 +19,10 @@ namespace hdnn {
 /// `addr % size_words()` with `xor_mask`. Fires exactly once. Models a bad
 /// cell / disturbed row, so armed faults survive Reset() — they belong to
 /// the device, not to its contents — but access counters restart at Reset,
-/// so thresholds are relative to the current inference epoch.
+/// so thresholds are relative to the current inference epoch. A Runtime
+/// that finds a fault armed takes its full zero-and-stage path (it does not
+/// keep its resident weight image), so an epoch's traffic, and with it a
+/// threshold measured on a cold Execute, is the same on a warm Runtime.
 struct DramFault {
   std::int64_t after_total_words = 0;
   std::int64_t addr = 0;
@@ -30,11 +33,14 @@ class DramModel {
  public:
   explicit DramModel(std::int64_t words);
 
-  /// Re-sizes to `words` and zeroes the contents, reusing the existing
-  /// backing store when capacity allows (serving runtimes Reset one
-  /// persistent DramModel per inference instead of reallocating). Also
-  /// resets the bump allocator and the access statistics.
-  void Reset(std::int64_t words);
+  /// Re-sizes to `words` and zeroes the contents from `keep_words` on,
+  /// reusing the existing backing store when capacity allows (serving
+  /// runtimes Reset one persistent DramModel per inference instead of
+  /// reallocating). The prefix [0, keep_words) keeps its contents: a
+  /// Runtime keeps its resident weight image there and zeroes only the
+  /// fmap slots. `keep_words` may not exceed the current or the new size.
+  /// Also resets the bump allocator and the access statistics.
+  void Reset(std::int64_t words, std::int64_t keep_words = 0);
 
   std::int64_t size_words() const {
     return static_cast<std::int64_t>(words_.size());

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "compiler/compiler.h"
@@ -31,6 +32,14 @@ struct RunReport {
   bool integrity_checked = false;
 };
 
+/// Runs compiled models on one persistent simulated device. The weight and
+/// bias image [0, cm.fmap_base) stays resident in the DRAM model across
+/// functional Executes, as on the board: a run whose WeightImageKey
+/// matches the last clean functional run zeroes only the fmap slots
+/// [cm.fmap_base, size) and stages only its input. A fault armed at
+/// the start of a run, any exception, a timing-only run, or a write or
+/// fault through dram() between runs drops the claim, so the next
+/// functional run re-stages the whole image (DESIGN.md Sec. 4).
 class Runtime {
  public:
   Runtime(const AccelConfig& cfg, const FpgaSpec& spec);
@@ -66,6 +75,18 @@ class Runtime {
   /// `*dram_`, whose object identity is stable after first construction.
   std::unique_ptr<DramModel> dram_;
   std::unique_ptr<Accelerator> accel_;
+
+  /// The resident weight image: its key, and the DRAM's write and fault
+  /// counters as the clean functional run that staged it left them. Set
+  /// only at the end of such a run; cleared at the start of every Execute.
+  struct ResidentImage {
+    std::uint64_t key = 0;
+    std::int64_t words_written = 0;
+    std::int64_t injected_faults = 0;
+    friend bool operator==(const ResidentImage&,
+                           const ResidentImage&) = default;
+  };
+  std::optional<ResidentImage> resident_;
 };
 
 /// Stores a CHW fmap into a layer's DRAM region with channel padding, in the

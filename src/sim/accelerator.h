@@ -60,6 +60,8 @@ struct SimStats {
   double Seconds(double freq_mhz) const {
     return total_cycles / (freq_mhz * 1e6);
   }
+
+  friend bool operator==(const SimStats&, const SimStats&) = default;
 };
 
 class Accelerator {

@@ -36,21 +36,6 @@ std::vector<std::int64_t> Shape::strides() const {
   return s;
 }
 
-std::int64_t Shape::FlatIndex(const std::vector<std::int64_t>& coord) const {
-  HDNN_CHECK(static_cast<int>(coord.size()) == rank())
-      << "coordinate rank " << coord.size() << " vs shape rank " << rank();
-  const auto s = strides();
-  std::int64_t idx = 0;
-  for (int i = 0; i < rank(); ++i) {
-    HDNN_CHECK(coord[static_cast<std::size_t>(i)] >= 0 &&
-               coord[static_cast<std::size_t>(i)] < dim(i))
-        << "coordinate " << coord[static_cast<std::size_t>(i)]
-        << " out of bounds for dim " << i << " of " << ToString();
-    idx += coord[static_cast<std::size_t>(i)] * s[static_cast<std::size_t>(i)];
-  }
-  return idx;
-}
-
 std::string Shape::ToString() const {
   std::ostringstream out;
   out << "[";

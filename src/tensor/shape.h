@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
+
 namespace hdnn {
 
 /// An N-dimensional dense shape. Dims are non-negative; rank may be zero
@@ -27,8 +29,24 @@ class Shape {
   /// Row-major strides, in elements.
   std::vector<std::int64_t> strides() const;
 
-  /// Flat index of the given coordinate (bounds-checked).
-  std::int64_t FlatIndex(const std::vector<std::int64_t>& coord) const;
+  /// Flat index of the given coordinate (rank- and bounds-checked).
+  /// Allocation-free: Tensor::at calls it on every element access.
+  std::int64_t FlatIndex(std::initializer_list<std::int64_t> coord) const {
+    HDNN_CHECK(static_cast<int>(coord.size()) == rank())
+        << "coordinate rank " << coord.size() << " vs shape rank " << rank();
+    // Horner's rule over the row-major dims: ((c0 * d1 + c1) * d2 + c2)...
+    std::int64_t idx = 0;
+    std::size_t i = 0;
+    for (const std::int64_t c : coord) {
+      const std::int64_t d = dims_[i];
+      HDNN_CHECK(c >= 0 && c < d) << "coordinate " << c
+                                  << " out of bounds for dim " << i << " of "
+                                  << ToString();
+      idx = idx * d + c;
+      ++i;
+    }
+    return idx;
+  }
 
   std::string ToString() const;
 

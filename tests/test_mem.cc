@@ -128,6 +128,26 @@ TEST(DramModelTest, StatisticsCount) {
   EXPECT_EQ(dram.words_read(), 2);
 }
 
+TEST(DramModelTest, ResetKeepsOnlyThePrefix) {
+  DramModel dram(16);
+  for (int a = 0; a < 16; ++a) dram.Write(a, static_cast<std::int16_t>(a + 1));
+  dram.Reset(16, /*keep_words=*/5);
+  for (int a = 0; a < 16; ++a) {
+    EXPECT_EQ(dram.Read(a), a < 5 ? a + 1 : 0) << "word " << a;
+  }
+  EXPECT_EQ(dram.words_written(), 0);
+  EXPECT_EQ(dram.words_read(), 16);
+  // Growing keeps the prefix and zeroes the new tail.
+  dram.Reset(24, 5);
+  EXPECT_EQ(dram.size_words(), 24);
+  EXPECT_EQ(dram.Read(4), 5);
+  EXPECT_EQ(dram.Read(23), 0);
+  // The prefix must exist on both sides of the reset.
+  EXPECT_THROW(dram.Reset(4, 5), InvalidArgument);
+  EXPECT_THROW(dram.Reset(32, 25), InvalidArgument);
+  EXPECT_THROW(dram.Reset(24, -1), InvalidArgument);
+}
+
 TEST(DramModelTest, AllocatorBumpsAndChecks) {
   DramModel dram(100);
   EXPECT_EQ(dram.Allocate(40), 0);

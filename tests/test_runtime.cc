@@ -101,5 +101,186 @@ TEST(RuntimeTest, MismatchedConfigRejected) {
   EXPECT_THROW(runtime.Execute(m, cm, {}, {}, false), InvalidArgument);
 }
 
+// --- Resident weight image ---
+//
+// A Runtime stages the weight and bias image [0, cm.fmap_base) once and
+// keeps it across functional Executes of the same deployment and weights.
+// Every test here checks that keeping it is invisible: same outputs,
+// SimStats and DRAM image as staging from scratch, and a re-stage whenever
+// the weights, the deployment, or the device's health change.
+
+struct ResidentFixture {
+  Model model;
+  AccelConfig cfg = ::hdnn::testing::TestConfig(4);
+  ModelWeightsQ weights;
+  CompiledModel cm;
+  std::vector<Tensor<std::int16_t>> inputs;
+
+  /// TinyCnn with Winograd and Spatial layers in both dataflows.
+  ResidentFixture()
+      : ResidentFixture(
+            BuildTinyCnn(),
+            {{ConvMode::kWinograd, Dataflow::kInputStationary},
+             {ConvMode::kSpatial, Dataflow::kInputStationary},
+             {ConvMode::kWinograd, Dataflow::kWeightStationary},
+             {ConvMode::kSpatial, Dataflow::kWeightStationary}}) {}
+
+  ResidentFixture(Model m, const std::vector<LayerMapping>& mapping)
+      : model(std::move(m)),
+        weights(SyntheticWeights(model, 5)),
+        cm(Compiler(cfg, TestSpec()).Compile(model, mapping)) {
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      inputs.push_back(::hdnn::testing::MakeInput(model.InputOf(0), 20 + k));
+    }
+  }
+
+  Tensor<std::int16_t> Golden(const CompiledModel& c,
+                              const Tensor<std::int16_t>& input) const {
+    std::vector<LayerMapping> effective;
+    for (const LayerPlan& plan : c.plans) effective.push_back(plan.mapping);
+    return ::hdnn::testing::GoldenForward(model, weights, input, effective,
+                                          cfg, c.base_shift);
+  }
+
+  std::vector<std::int16_t> Image(Runtime& rt) const {
+    const auto view = rt.dram()->ViewRun(0, rt.dram()->size_words());
+    return {view.begin(), view.end()};
+  }
+};
+
+TEST(ResidentWeightsTest, WarmRuntimeMatchesFreshRuntimePerInput) {
+  ResidentFixture fx;
+  Runtime warm(fx.cfg, TestSpec());
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& input : fx.inputs) {
+      const RunReport w = warm.Execute(fx.model, fx.cm, fx.weights, input);
+      Runtime fresh(fx.cfg, TestSpec());
+      const RunReport f = fresh.Execute(fx.model, fx.cm, fx.weights, input);
+      EXPECT_EQ(w.output, f.output);
+      EXPECT_EQ(w.output, fx.Golden(fx.cm, input));
+      EXPECT_TRUE(w.stats == f.stats) << "SimStats differ";
+      EXPECT_EQ(fx.Image(warm), fx.Image(fresh)) << "DRAM images differ";
+    }
+  }
+}
+
+TEST(ResidentWeightsTest, WarmExecuteStagesNothing) {
+  ResidentFixture fx;
+  const auto& input = fx.inputs[0];
+  Runtime cold(fx.cfg, TestSpec());
+  cold.Execute(fx.model, fx.cm, fx.weights, input);
+  const std::int64_t cold_written = cold.dram()->words_written();
+
+  Runtime rt(fx.cfg, TestSpec());
+  rt.Execute(fx.model, fx.cm, fx.weights, input);
+  EXPECT_EQ(rt.dram()->words_written(), cold_written);
+  rt.Execute(fx.model, fx.cm, fx.weights, input);
+  EXPECT_EQ(rt.dram()->words_written(), cold_written - fx.cm.fmap_base)
+      << "a warm Execute writes its input and fmaps, no weight words";
+
+  // A timing-only run resets the whole image: the next functional run
+  // stages it again, then steady state resumes.
+  rt.Execute(fx.model, fx.cm, {}, {}, /*functional=*/false);
+  rt.Execute(fx.model, fx.cm, fx.weights, input);
+  EXPECT_EQ(rt.dram()->words_written(), cold_written);
+  rt.Execute(fx.model, fx.cm, fx.weights, input);
+  EXPECT_EQ(rt.dram()->words_written(), cold_written - fx.cm.fmap_base);
+
+  // So does any exception, here a bad input shape thrown after the reset.
+  EXPECT_THROW(rt.Execute(fx.model, fx.cm, fx.weights,
+                          Tensor<std::int16_t>(Shape{1, 1, 1})),
+               InvalidArgument);
+  const RunReport after = rt.Execute(fx.model, fx.cm, fx.weights, input);
+  EXPECT_EQ(rt.dram()->words_written(), cold_written);
+  EXPECT_EQ(after.output, fx.Golden(fx.cm, input));
+
+  // A write through dram() between runs is seen too.
+  rt.dram()->Write(0, rt.dram()->ViewRun(0, 1)[0]);
+  rt.Execute(fx.model, fx.cm, fx.weights, input);
+  EXPECT_EQ(rt.dram()->words_written(), cold_written);
+}
+
+TEST(ResidentWeightsTest, WeightsMutatedInPlaceAreRestaged) {
+  ResidentFixture fx;
+  const auto& input = fx.inputs[1];
+  Runtime rt(fx.cfg, TestSpec());
+  const Tensor<std::int16_t> before = fx.Golden(fx.cm, input);
+  EXPECT_EQ(rt.Execute(fx.model, fx.cm, fx.weights, input).output, before);
+
+  // Same tensor objects, one new weight value (a Winograd layer's, so the
+  // key must see through the offline transform to the raw weights).
+  fx.weights[0].weights.at(3, 1, 1, 1) += 7;
+  const Tensor<std::int16_t> after_weight = fx.Golden(fx.cm, input);
+  ASSERT_NE(after_weight, before);
+  EXPECT_EQ(rt.Execute(fx.model, fx.cm, fx.weights, input).output,
+            after_weight);
+
+  fx.weights[3].bias.flat(2) += 1000;
+  const Tensor<std::int16_t> after_bias = fx.Golden(fx.cm, input);
+  ASSERT_NE(after_bias, after_weight);
+  EXPECT_EQ(rt.Execute(fx.model, fx.cm, fx.weights, input).output,
+            after_bias);
+}
+
+TEST(ResidentWeightsTest, AlternatingDeploymentsStayGolden) {
+  // Two identical layers with their modes swapped: both deployments pack
+  // the same weights into an image of the same extent, so only the
+  // per-layer plans tell the two images apart.
+  Model twin("twin", FmapShape{16, 12, 12});
+  ConvLayer layer;
+  layer.in_channels = 16;
+  layer.out_channels = 16;
+  layer.relu = true;
+  layer.name = "a";
+  twin.Append(layer);
+  layer.name = "b";
+  twin.Append(layer);
+  const LayerMapping wino{ConvMode::kWinograd, Dataflow::kInputStationary};
+  const LayerMapping spat{ConvMode::kSpatial, Dataflow::kInputStationary};
+  const ResidentFixture fx(twin, {wino, spat});
+  const CompiledModel swapped =
+      Compiler(fx.cfg, TestSpec()).Compile(twin, {spat, wino});
+  ASSERT_EQ(swapped.fmap_base, fx.cm.fmap_base);
+  ASSERT_EQ(swapped.total_dram_words, fx.cm.total_dram_words);
+  Runtime rt(fx.cfg, TestSpec());
+  for (int i = 0; i < 6; ++i) {
+    const CompiledModel& cm = i % 2 == 0 ? fx.cm : swapped;
+    const auto& input = fx.inputs[static_cast<std::size_t>(i % 3)];
+    EXPECT_EQ(rt.Execute(fx.model, cm, fx.weights, input).output,
+              fx.Golden(cm, input))
+        << "execute " << i;
+  }
+}
+
+TEST(ResidentWeightsTest, FaultInWeightImageOnWarmRuntimeDoesNotPersist) {
+  ResidentFixture fx;
+  const auto& input = fx.inputs[2];
+  const Tensor<std::int16_t> golden = fx.Golden(fx.cm, input);
+  Runtime rt(fx.cfg, TestSpec());
+  rt.Execute(fx.model, fx.cm, fx.weights, input);
+  rt.Execute(fx.model, fx.cm, fx.weights, input);  // warm
+
+  // Fire on the simulator's first access, after the full re-stage (weight
+  // image plus input) that an armed fault forces, flipping the last
+  // layer's first bias word before its LOAD_BIAS reads it.
+  const LayerPlan& first = fx.cm.plans.front();
+  const std::int64_t staged =
+      fx.cm.fmap_base + static_cast<std::int64_t>(first.cp_in) *
+                            first.in_shape.height * first.in_shape.width;
+  const std::int64_t addr = fx.cm.plans.back().bias_dram_base;
+  ASSERT_LT(addr, fx.cm.fmap_base);
+  rt.dram()->ArmFault({/*after_total_words=*/staged + 1, addr,
+                       /*xor_mask=*/0x1000});
+  const RunReport hit = rt.Execute(fx.model, fx.cm, fx.weights, input);
+  EXPECT_EQ(rt.dram()->injected_faults(), 1);
+  EXPECT_EQ(rt.dram()->armed_faults(), 0);
+  EXPECT_NE(hit.output, golden) << "the flipped bias reached the output";
+
+  // The fault is consumed, and its run left no resident claim: the next
+  // Execute re-stages the image and is golden again.
+  EXPECT_EQ(rt.Execute(fx.model, fx.cm, fx.weights, input).output, golden);
+  EXPECT_EQ(rt.Execute(fx.model, fx.cm, fx.weights, input).output, golden);
+}
+
 }  // namespace
 }  // namespace hdnn

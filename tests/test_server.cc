@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "common/deadline_queue.h"
@@ -589,6 +590,17 @@ TEST(InferenceServerTest, StopResolvesEveryOutstandingFuture) {
     // tight once it sits behind the backlog — the rest are unconstrained.
     const double deadline = (i % 3 == 2) ? 1.0 * dev : kNoDeadline;
     futures.push_back(server.Submit(h, input, deadline));
+    // Let the worker take the first full batch before the backlog builds.
+    // Otherwise, on a loaded host, the tight arrivals can evict every
+    // unconstrained entry before the worker wakes, and none is served ok.
+    if (i + 1 == opts.max_batch) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (server.stats(h).batches == 0 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
   }
   server.Stop();
 

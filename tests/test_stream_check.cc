@@ -2,6 +2,9 @@
 // deliberately corrupted programs must be flagged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "compiler/stream_check.h"
 #include "dse/search.h"
 #include "nn/builders.h"
@@ -113,6 +116,38 @@ TEST(StreamCheckTest, DetectsDramOverrun) {
   }
   const auto report = CheckInstructionStream(cm);
   EXPECT_FALSE(report.ok());
+}
+
+TEST(StreamCheckTest, DetectsSaveIntoWeightImage) {
+  // Plain SAVE, SAVE_RES and keep-resident SAVE alike.
+  for (const auto& [res_add, keep_resident] :
+       {std::pair{false, false}, std::pair{true, false},
+        std::pair{false, true}}) {
+    CompiledModel cm = CompileTiny(ConvMode::kSpatial,
+                                   Dataflow::kInputStationary);
+    ASSERT_GT(cm.fmap_base, 0);
+    // The last SAVE targets the output slot; move it to the last word of
+    // the weight/bias image, one below the first fmap slot.
+    auto it = std::find_if(cm.program.rbegin(), cm.program.rend(),
+                           [](const Instruction& instr) {
+                             return PeekOpcode(instr) == Opcode::kSave;
+                           });
+    ASSERT_NE(it, cm.program.rend());
+    auto f = std::get<SaveFields>(Decode(*it));
+    f.res_add = res_add;
+    f.keep_resident = keep_resident;
+    f.dram_base = static_cast<std::uint32_t>(cm.fmap_base - 1);
+    *it = Encode(f);
+    const auto report = CheckInstructionStream(cm);
+    const bool flagged = std::any_of(
+        report.violations.begin(), report.violations.end(),
+        [](const std::string& v) {
+          return v.find("SAVE writes into the weight image") !=
+                 std::string::npos;
+        });
+    EXPECT_TRUE(flagged) << "opcode " << static_cast<int>(PeekOpcode(*it));
+    EXPECT_THROW(RequireValidStream(cm), InternalError);
+  }
 }
 
 TEST(StreamCheckTest, DetectsMissingEnd) {

@@ -42,7 +42,14 @@ TEST(ShapeTest, FlatIndexMatchesStrides) {
 TEST(ShapeTest, OutOfBoundsCoordinateThrows) {
   const Shape s{2, 3};
   EXPECT_THROW(s.FlatIndex({2, 0}), InvalidArgument);
+  EXPECT_THROW(s.FlatIndex({0, 3}), InvalidArgument);
   EXPECT_THROW(s.FlatIndex({0, 0, 0}), InvalidArgument);
+  EXPECT_THROW(s.FlatIndex({0}), InvalidArgument);
+  // Negative coordinates: {0, -1} would alias flat index -1 and {1, -1}
+  // the in-range element {0, 2} without the per-dim check.
+  EXPECT_THROW(s.FlatIndex({-1, 0}), InvalidArgument);
+  EXPECT_THROW(s.FlatIndex({0, -1}), InvalidArgument);
+  EXPECT_THROW(s.FlatIndex({1, -1}), InvalidArgument);
 }
 
 TEST(ShapeTest, NegativeDimThrows) {
@@ -85,6 +92,30 @@ TEST(TensorTest, PaddedAtReturnsZeroOutside) {
 TEST(TensorTest, WrongRankAccessThrows) {
   Tensor<int> t(Shape{2, 2});
   EXPECT_THROW(t.at(0, 0, 0), InvalidArgument);
+}
+
+TEST(TensorTest, OutOfRangeAccessThrowsAtEveryRank) {
+  const Tensor<int> m(Shape{2, 3});
+  EXPECT_EQ(m.at(1, 2), 0);
+  EXPECT_THROW(m.at(2, 0), InvalidArgument);
+  EXPECT_THROW(m.at(0, 3), InvalidArgument);
+  EXPECT_THROW(m.at(-1, 0), InvalidArgument);
+  EXPECT_THROW(m.at(1, -1), InvalidArgument);
+
+  const Tensor<int> chw(Shape{2, 3, 4});
+  EXPECT_EQ(chw.at(1, 2, 3), 0);
+  EXPECT_THROW(chw.at(2, 0, 0), InvalidArgument);
+  EXPECT_THROW(chw.at(0, 3, 0), InvalidArgument);
+  EXPECT_THROW(chw.at(0, 0, 4), InvalidArgument);
+  EXPECT_THROW(chw.at(0, 1, -1), InvalidArgument);
+
+  const Tensor<int> kcrs(Shape{2, 3, 3, 3});
+  EXPECT_EQ(kcrs.at(1, 2, 2, 2), 0);
+  EXPECT_THROW(kcrs.at(2, 0, 0, 0), InvalidArgument);
+  EXPECT_THROW(kcrs.at(0, 3, 0, 0), InvalidArgument);
+  EXPECT_THROW(kcrs.at(0, 0, 3, 0), InvalidArgument);
+  EXPECT_THROW(kcrs.at(0, 0, 0, 3), InvalidArgument);
+  EXPECT_THROW(kcrs.at(-1, 0, 0, 0), InvalidArgument);
 }
 
 TEST(TensorTest, DataSizeMismatchThrows) {
