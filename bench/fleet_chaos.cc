@@ -7,9 +7,10 @@
 // recovery. Each chaos scenario replays the SAME Poisson trace through
 // SimulateFleet with a seeded FaultPlan:
 //
-//   * baseline    — no faults, legacy code path (hedging off);
-//   * empty_plan  — an empty FaultPlan through the full chaos event loop,
-//                   which must be bit-identical to baseline;
+//   * baseline    — no plan and hedging off, so health detection is
+//                   disarmed;
+//   * empty_plan  — an empty FaultPlan, health detection armed, which must
+//                   be bit-identical to baseline;
 //   * crash       — one board dies mid-run: heartbeat detection, retry
 //                   with backoff, hedging, and a degradation-aware re-plan
 //                   over the survivors;
@@ -258,7 +259,6 @@ int main(int argc, char** argv) {
   opts.max_retries = 2;
   opts.retry_backoff_seconds = 0.0005;
   opts.crc_enabled = true;
-  opts.replan_on_loss = true;
   opts.tail_window_start_seconds = tail_start;
 
   auto run = [&](const std::string& name, const FleetOptions& o,
@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
 
   std::vector<Scenario> scenarios;
 
-  // Baseline (legacy path) and the empty plan through the chaos loop.
+  // Baseline (health disarmed) and the empty plan (health armed).
   scenarios.push_back(run("baseline", opts, nullptr));
   const FaultPlan empty_plan(4242);
   scenarios.push_back(run("empty_plan", opts, &empty_plan));

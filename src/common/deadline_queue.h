@@ -140,11 +140,21 @@ class DeadlineQueue {
   }
 
   /// Absolute time the pending timeout trigger fires; kNeverTriggers when
-  /// the queue is empty. (Size triggers fire at Push time — the caller is
-  /// responsible for re-checking DispatchReady after admissions.)
+  /// the queue is empty. A size trigger can fire earlier: ReadyTime() folds
+  /// both triggers into one dispatch instant.
   double NextTriggerTime() const {
     if (entries_.empty()) return kNeverTriggers;
     return entries_.front().enqueue_s + max_queue_delay_s_;
+  }
+
+  /// Earliest instant a batch may dispatch, seen at `now` with no further
+  /// admissions: kNeverTriggers when empty, `now` once the size trigger has
+  /// fired, else the timeout trigger. The one dispatch-time rule of every
+  /// virtual-time drainer.
+  double ReadyTime(double now) const {
+    if (entries_.empty()) return kNeverTriggers;
+    if (size() >= max_batch_) return now;
+    return NextTriggerTime();
   }
 
   /// Pops the FIFO prefix of at most `max_batch` entries.

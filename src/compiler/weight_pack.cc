@@ -116,6 +116,9 @@ void WriteWeightImages(const CompiledModel& cm, const Model& model,
     HDNN_CHECK(lw.weights.shape() ==
                Shape({K, C_real, layer.kernel_h, layer.kernel_w}))
         << layer.name << ": weight shape " << lw.weights.shape().ToString();
+    HDNN_CHECK(lw.bias.empty() || lw.bias.elements() == K)
+        << layer.name << ": bias size " << lw.bias.elements()
+        << " != output channels " << K;
     const bool wino = plan.mapping.mode == ConvMode::kWinograd;
     const int pt = cm.cfg.pt;
 
@@ -204,12 +207,12 @@ void WriteWeightImages(const CompiledModel& cm, const Model& model,
         });
 
     // Bias image: padded K int32 values (little-endian word pairs, one
-    // contiguous run), pre-shifted for Winograd layers.
+    // contiguous run), pre-shifted for Winograd layers; zero without a bias.
     const int kp = PaddedK(layer, cm.cfg);
     const auto bias_dst = dram.WriteRun(plan.bias_dram_base, 2LL * kp);
     for (int k = 0; k < kp; ++k) {
       std::int64_t b = 0;
-      if (k < K && lw.bias.elements() > 0) b = lw.bias.flat(k);
+      if (k < K && !lw.bias.empty()) b = lw.bias.flat(k);
       if (wino) b <<= plan.u_shift;
       const std::uint32_t u =
           static_cast<std::uint32_t>(static_cast<std::int32_t>(b));

@@ -35,22 +35,18 @@ std::vector<double> ClassWeights(const FleetOptions& options,
   return options.class_weights;
 }
 
-/// The self-healing event loop (DESIGN.md Sec. 12). Engaged when the
-/// caller passes a FaultPlan (even an empty one) or enables hedging; the
-/// plain path stays on the legacy loop below, whose behavior is pinned by
-/// hand-computed tests. With an empty plan and hedging off this loop must
-/// reproduce the legacy statistics bit for bit — the chaos bench
-/// self-checks that — which is why every floating-point expression the two
-/// share (load estimates, batch finish times, busy accounting, horizon) is
-/// written identically.
-///
-/// Beyond the legacy dispatch/arrival events, the loop schedules:
-///   * per-item completion events (a min-heap; results commit at finish
-///     time, so a crash can lose in-flight work),
-///   * injected fault events from the plan's materialized schedule,
+}  // namespace
+
+/// The fleet's one virtual-time event loop (DESIGN.md Sec. 11-12). Events,
+/// in tie order at one instant:
+///   * per-item completions (a min-heap; results commit at finish time, so
+///     a crash can lose in-flight work),
+///   * injected faults from the plan's materialized schedule,
 ///   * HealthTracker deadlines (detection fires without traffic),
+///   * batch dispatches (lowest shard first),
+///   * arrivals,
 ///   * client retries with backoff after a lost or CRC-rejected result.
-FleetSimResult SimulateFleetChaos(
+FleetSimResult SimulateFleet(
     const std::vector<BoardCandidate>& candidates,
     const std::vector<int>& shard_candidates,
     const std::vector<LatencyClass>& classes,
@@ -70,10 +66,6 @@ FleetSimResult SimulateFleetChaos(
   HDNN_CHECK(options.retry_backoff_seconds >= 0)
       << "retry backoff must be non-negative, got "
       << options.retry_backoff_seconds;
-  HDNN_CHECK(options.replan_capacity_derate > 0 &&
-             options.replan_capacity_derate <= 1.0)
-      << "replan_capacity_derate must be in (0,1], got "
-      << options.replan_capacity_derate;
   const std::size_t num_shards = shard_candidates.size();
   const std::size_t num_classes = classes.size();
   const std::vector<double> weights = ClassWeights(options, num_classes);
@@ -98,6 +90,7 @@ FleetSimResult SimulateFleetChaos(
   };
   struct ShardSim {
     int cand = 0;
+    std::vector<double> item_s;              // device seconds per class
     std::vector<double> worker_free;         // per NI instance
     std::vector<DeadlineQueue<int>> queues;  // per class
     std::vector<double> credits;
@@ -129,25 +122,26 @@ FleetSimResult SimulateFleetChaos(
     sim.credits.assign(num_classes, 0.0);
     sim.queues.reserve(num_classes);
     for (std::size_t c = 0; c < num_classes; ++c) {
+      sim.item_s.push_back(device_seconds[static_cast<std::size_t>(cand)]
+                               [static_cast<std::size_t>(
+                                   classes[c].model_index)]);
       sim.queues.emplace_back(options.max_queue_depth, options.max_batch,
                               options.max_queue_delay_seconds);
     }
   }
-  auto dev = [&](const ShardSim& sim, int model) {
-    return device_seconds[static_cast<std::size_t>(sim.cand)]
-                         [static_cast<std::size_t>(model)];
-  };
-  std::vector<std::vector<bool>> feasible_static(
-      num_shards, std::vector<bool>(num_classes, false));
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      feasible_static[s][c] = dev(shards[s], classes[c].model_index) <=
-                              classes[c].deadline_seconds;
-    }
-  }
 
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const bool hedging = options.hedge_slack_fraction > 0;
+  // Without a plan or hedging the tripwires stay disarmed: an overloaded
+  // but fault-free fleet would otherwise trip them and reroute its traffic.
+  HealthOptions health = options.health;
+  if (faults == nullptr && !hedging) {
+    health.heartbeat_timeout_seconds = kInf;
+    health.down_after_seconds = kInf;
+    health.max_consecutive_misses = 0;
+  }
   Router router(static_cast<int>(num_shards), options.router);
-  HealthTracker tracker(static_cast<int>(num_shards), options.health);
+  HealthTracker tracker(static_cast<int>(num_shards), health);
   FleetSimResult result;
   result.decisions.reserve(arrivals.size());
   result.classes.assign(num_classes, {});
@@ -185,8 +179,6 @@ FleetSimResult SimulateFleetChaos(
     double finish = 0;
     std::size_t shard = 0;
     int req = 0;
-    int cls = 0;
-    double item_s = 0;
     int epoch = 0;
     std::int64_t seq = 0;
   };
@@ -212,7 +204,6 @@ FleetSimResult SimulateFleetChaos(
   };
   std::priority_queue<RetryEvent, std::vector<RetryEvent>, RetryLater> retries;
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::size_t next_arrival = 0;
   std::size_t fault_idx = 0;
   double now = 0;
@@ -222,11 +213,27 @@ FleetSimResult SimulateFleetChaos(
   std::vector<double> admit_fraction(num_classes, 1.0);
   std::vector<double> admit_credit(num_classes, 0.0);
   std::vector<DeadlineQueue<int>::Entry> scratch;
-  const bool hedging = options.hedge_slack_fraction > 0;
   const double tail_start = options.tail_window_start_seconds;
 
   auto min_free = [](const ShardSim& sim) {
     return *std::min_element(sim.worker_free.begin(), sim.worker_free.end());
+  };
+  // ready_at[s]: the earliest instant shard s can dispatch without further
+  // admissions — the minimum over its non-empty queues of max(trigger,
+  // earliest free worker, stall end); +inf when the shard is dead or idle.
+  // Refreshed wherever the shard's queues, workers, stall or liveness
+  // change. A size-ready queue's trigger is the refresh instant, which the
+  // event scan's later `now` dominates, so max(ready_at[s], now) equals the
+  // per-class scan exactly.
+  std::vector<double> ready_at(num_shards, kInf);
+  auto refresh_ready = [&](std::size_t s) {
+    const ShardSim& sim = shards[s];
+    double trigger = kInf;
+    if (sim.alive) {
+      for (const auto& q : sim.queues)
+        trigger = std::min(trigger, q.ReadyTime(now));
+    }
+    ready_at[s] = std::max({trigger, min_free(sim), sim.stalled_until});
   };
   auto shard_is_busy = [](const ShardSim& sim) {
     if (!sim.inflight.empty()) return true;
@@ -286,6 +293,7 @@ FleetSimResult SimulateFleetChaos(
       tracker.OnDeadlineMiss(static_cast<int>(s), now, /*made_progress=*/false);
     }
     if (admit == AdmitResult::kEvicted) copy_gone(evicted.value, 'r');
+    refresh_ready(s);
     if (admit == AdmitResult::kRejected) {
       update_busy(s);
       return false;
@@ -295,31 +303,35 @@ FleetSimResult SimulateFleetChaos(
     return true;
   };
 
-  // Routing shared by initial arrivals and retries: the legacy
-  // deadline-aware least-loaded policy, with unhealthy shards masked and
-  // (optionally) a hedge copy on the router's backup shard when the
-  // primary's predicted completion eats too much of the deadline.
+  // Routing shared by initial arrivals and retries: the deadline-aware
+  // least-loaded policy, with unhealthy shards masked and (optionally) a
+  // hedge copy on the router's backup shard when the primary's predicted
+  // completion eats too much of the deadline. The buffers below are reused
+  // by every call.
+  std::vector<double> load(num_shards);
+  std::vector<bool> mask_static(num_shards);
+  std::vector<bool> mask_dyn(num_shards);
   auto route_request = [&](int i, bool initial) {
     Req& r = reqs[static_cast<std::size_t>(i)];
     ++r.attempts;
     const auto c = static_cast<std::size_t>(r.cls);
     const LatencyClass& cls = classes[c];
-    std::vector<double> load(num_shards, 0);
-    std::vector<bool> mask_static(num_shards, false);
-    std::vector<bool> mask_dyn(num_shards, false);
+    mask_static.assign(num_shards, false);
+    mask_dyn.assign(num_shards, false);
     bool any_dyn = false;
     for (std::size_t s = 0; s < num_shards; ++s) {
       const ShardSim& sim = shards[s];
       double backlog = 0;
       for (double wf : sim.worker_free) backlog += std::max(0.0, wf - now);
       for (std::size_t c2 = 0; c2 < num_classes; ++c2) {
-        backlog += sim.queues[c2].size() * dev(sim, classes[c2].model_index);
+        backlog += sim.queues[c2].size() * sim.item_s[c2];
       }
       load[s] = backlog / static_cast<double>(sim.worker_free.size());
-      if (!feasible_static[s][c]) continue;
+      // Static feasibility: one item's device time fits the deadline.
+      if (!(sim.item_s[c] <= cls.deadline_seconds)) continue;
       if (!tracker.routable(static_cast<int>(s))) continue;
       mask_static[s] = true;
-      if (load[s] + dev(sim, cls.model_index) <= cls.deadline_seconds) {
+      if (load[s] + sim.item_s[c] <= cls.deadline_seconds) {
         mask_dyn[s] = true;
         any_dyn = true;
       }
@@ -344,7 +356,7 @@ FleetSimResult SimulateFleetChaos(
     if (hedging && rd.hedge >= 0 && cls.deadline_seconds != kNoDeadline) {
       const double remaining =
           r.deadline_abs == kNoDeadline ? kNoDeadline : r.deadline_abs - now;
-      const double predicted = load[p] + dev(shards[p], cls.model_index);
+      const double predicted = load[p] + shards[p].item_s[c];
       if (predicted > (1.0 - options.hedge_slack_fraction) * remaining) {
         if (admit_to(static_cast<std::size_t>(rd.hedge), c, i)) {
           ++result.chaos.hedges;
@@ -354,14 +366,10 @@ FleetSimResult SimulateFleetChaos(
     if (r.copies == 0 && !r.done) finalize(i);
   };
 
-  // Permanent loss of shard s: kill the dispatcher, void in-flight work,
-  // hand everything the shard still holds back to the retry layer, and
-  // re-plan admission over the survivors.
-  auto on_shard_down = [&](std::size_t s) {
-    known_down[s] = 1;
-    ++result.chaos.shards_down;
-    if (result.chaos.first_down_seconds < 0)
-      result.chaos.first_down_seconds = now;
+  // Shard s stops: its dispatcher dies and in-flight work is voided (the
+  // requests wait in `lost` until the fleet notices). Crashing a dead shard
+  // again changes nothing.
+  auto crash = [&](std::size_t s) {
     ShardSim& sim = shards[s];
     sim.alive = false;
     ++sim.epoch;
@@ -371,6 +379,19 @@ FleetSimResult SimulateFleetChaos(
       sim.lost.push_back(fl.req);
     }
     sim.inflight.clear();
+    refresh_ready(s);
+  };
+
+  // Permanent loss of shard s: crash it, hand everything the shard still
+  // holds back to the retry layer, and re-plan admission over the
+  // survivors.
+  auto on_shard_down = [&](std::size_t s) {
+    known_down[s] = 1;
+    ++result.chaos.shards_down;
+    if (result.chaos.first_down_seconds < 0)
+      result.chaos.first_down_seconds = now;
+    crash(s);
+    ShardSim& sim = shards[s];
     for (std::size_t c2 = 0; c2 < num_classes; ++c2) {
       while (!sim.queues[c2].empty()) {
         for (auto& e : sim.queues[c2].TakeBatch()) {
@@ -381,14 +402,12 @@ FleetSimResult SimulateFleetChaos(
     for (int req : sim.lost) copy_gone(req, 'f');
     sim.lost.clear();
     update_busy(s);
-    if (!options.replan_on_loss) return;
     std::vector<int> surviving;
     for (std::size_t s2 = 0; s2 < num_shards; ++s2) {
       if (!known_down[s2]) surviving.push_back(shard_candidates[s2]);
     }
     if (surviving.empty()) return;  // total loss; nothing left to plan over
-    PortfolioOptions popts;
-    popts.capacity_derate = options.replan_capacity_derate;
+    PortfolioOptions popts;  // the planner's default capacity derate
     popts.max_boards =
         std::max(64, static_cast<int>(surviving.size()));
     popts.power_budget_watts = 1;
@@ -416,22 +435,11 @@ FleetSimResult SimulateFleetChaos(
     const double health_t = tracker.NextDeadline();
     double dispatch_t = kInf;
     std::size_t dispatch_s = 0;
-    bool have_dispatch = false;
     for (std::size_t s = 0; s < num_shards; ++s) {
-      ShardSim& sim = shards[s];
-      if (!sim.alive) continue;
-      const double mf = min_free(sim);
-      for (std::size_t c = 0; c < num_classes; ++c) {
-        const DeadlineQueue<int>& q = sim.queues[c];
-        if (q.empty()) continue;
-        const double ready_t =
-            q.size() >= q.max_batch() ? now : q.NextTriggerTime();
-        const double t = std::max({ready_t, mf, now, sim.stalled_until});
-        if (t < dispatch_t) {
-          dispatch_t = t;
-          dispatch_s = s;
-          have_dispatch = true;
-        }
+      const double t = std::max(ready_at[s], now);
+      if (t < dispatch_t) {
+        dispatch_t = t;
+        dispatch_s = s;
       }
     }
     const double arrival_t =
@@ -506,26 +514,18 @@ FleetSimResult SimulateFleetChaos(
     if (fault_t <= best) {
       const InjectedFault& f = schedule[fault_idx++];
       now = f.event.at_seconds;
-      ShardSim& sim = shards[static_cast<std::size_t>(f.event.shard)];
+      const auto s = static_cast<std::size_t>(f.event.shard);
+      ShardSim& sim = shards[s];
       switch (f.event.kind) {
         case FaultKind::kCrash:
-          if (sim.alive) {
-            sim.alive = false;
-            ++sim.epoch;
-            for (auto& wf : sim.worker_free) wf = std::min(wf, now);
-            for (const auto& fl : sim.inflight) {
-              sim.busy_seconds -=
-                  std::max(0.0, std::min(fl.item_s, fl.finish - now));
-              sim.lost.push_back(fl.req);
-            }
-            sim.inflight.clear();
-            // Queued entries stay in limbo: the fleet only learns of the
-            // loss through the health tripwires, and re-routes then.
-          }
+          // Queued entries stay in limbo: the fleet only learns of the
+          // loss through the health tripwires, and re-routes then.
+          if (sim.alive) crash(s);
           break;
         case FaultKind::kStall:
           sim.stalled_until =
               std::max(sim.stalled_until, now + f.event.duration_seconds);
+          refresh_ready(s);
           break;
         case FaultKind::kSlowdown:
           sim.derates.push_back(
@@ -550,7 +550,7 @@ FleetSimResult SimulateFleetChaos(
       continue;
     }
 
-    if (have_dispatch && dispatch_t <= best) {
+    if (dispatch_t <= best) {
       now = dispatch_t;
       ShardSim& sim = shards[dispatch_s];
       std::vector<bool> ready(num_classes, false);
@@ -568,30 +568,29 @@ FleetSimResult SimulateFleetChaos(
                                /*made_progress=*/false);
       }
       if (!q.DispatchReady(now)) {  // sweep cancelled the trigger
+        refresh_ready(dispatch_s);
         update_busy(dispatch_s);
         continue;
       }
       std::vector<DeadlineQueue<int>::Entry> batch = q.TakeBatch();
       sim.scan_start = (static_cast<std::size_t>(picked) + 1) % num_classes;
-      if (batch.empty()) continue;
       const auto w = static_cast<std::size_t>(
           std::min_element(sim.worker_free.begin(), sim.worker_free.end()) -
           sim.worker_free.begin());
-      double item_s =
-          dev(sim, classes[static_cast<std::size_t>(picked)].model_index);
+      double item_s = sim.item_s[static_cast<std::size_t>(picked)];
       for (const auto& win : sim.derates) {
         if (now >= win.from && now < win.until) item_s *= win.derate;
       }
       double finish = now;
       for (const auto& e : batch) {
         finish += item_s;
-        comps.push({finish, dispatch_s, e.value, picked, item_s, sim.epoch,
-                    seq++});
+        comps.push({finish, dispatch_s, e.value, sim.epoch, seq++});
         sim.inflight.push_back({e.value, finish, item_s});
       }
       sim.worker_free[w] = finish;
       sim.busy_seconds += finish - now;
       ++sim.batches;
+      refresh_ready(dispatch_s);
       update_busy(dispatch_s);
       continue;
     }
@@ -640,7 +639,7 @@ FleetSimResult SimulateFleetChaos(
     }
   }
 
-  // Horizon and rates (same arithmetic as the legacy loop).
+  // Horizon and rates.
   double horizon = arrivals.empty() ? 0 : arrival_time.back();
   for (const ShardSim& sim : shards)
     for (double wf : sim.worker_free) horizon = std::max(horizon, wf);
@@ -697,8 +696,6 @@ FleetSimResult SimulateFleetChaos(
   return result;
 }
 
-}  // namespace
-
 std::vector<FleetTraceArrival> MakePoissonTrace(
     const std::vector<LatencyClass>& classes, double duration_seconds,
     std::uint64_t seed) {
@@ -724,276 +721,6 @@ std::vector<FleetTraceArrival> MakePoissonTrace(
                      return a.class_index < b.class_index;
                    });
   return trace;
-}
-
-FleetSimResult SimulateFleet(
-    const std::vector<BoardCandidate>& candidates,
-    const std::vector<int>& shard_candidates,
-    const std::vector<LatencyClass>& classes,
-    const std::vector<std::vector<double>>& device_seconds,
-    const std::vector<FleetTraceArrival>& arrivals,
-    const FleetOptions& options, const FaultPlan* faults) {
-  if (faults != nullptr || options.hedge_slack_fraction > 0) {
-    return SimulateFleetChaos(candidates, shard_candidates, classes,
-                              device_seconds, arrivals, options, faults);
-  }
-  HDNN_CHECK(!shard_candidates.empty()) << "fleet has no shards";
-  HDNN_CHECK(!classes.empty()) << "fleet has no latency classes";
-  HDNN_CHECK(device_seconds.size() == candidates.size())
-      << "device_seconds must have one row per candidate";
-  const std::size_t num_shards = shard_candidates.size();
-  const std::size_t num_classes = classes.size();
-  const std::vector<double> weights = ClassWeights(options, num_classes);
-
-  struct ShardSim {
-    int cand = 0;
-    std::vector<double> worker_free;       // per NI instance
-    std::vector<DeadlineQueue<int>> queues;  // per class
-    std::vector<double> credits;
-    std::size_t scan_start = 0;
-    std::int64_t items = 0;
-    std::int64_t batches = 0;
-    double busy_seconds = 0;
-  };
-  std::vector<ShardSim> shards(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const int cand = shard_candidates[s];
-    HDNN_CHECK(cand >= 0 && cand < static_cast<int>(candidates.size()))
-        << "shard candidate index " << cand << " out of range";
-    HDNN_CHECK(device_seconds[static_cast<std::size_t>(cand)].size() ==
-               candidates[static_cast<std::size_t>(cand)].item_seconds.size())
-        << "device_seconds row " << cand << " must have one entry per model";
-    ShardSim& sim = shards[s];
-    sim.cand = cand;
-    const int ni = candidates[static_cast<std::size_t>(cand)].config.ni;
-    sim.worker_free.assign(static_cast<std::size_t>(ni), 0.0);
-    sim.credits.assign(num_classes, 0.0);
-    sim.queues.reserve(num_classes);
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      sim.queues.emplace_back(options.max_queue_depth, options.max_batch,
-                              options.max_queue_delay_seconds);
-    }
-  }
-  auto dev = [&](const ShardSim& sim, int model) {
-    return device_seconds[static_cast<std::size_t>(sim.cand)]
-                         [static_cast<std::size_t>(model)];
-  };
-  // Static feasibility: one item's device time fits the class deadline.
-  std::vector<std::vector<bool>> feasible_static(
-      num_shards, std::vector<bool>(num_classes, false));
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      feasible_static[s][c] = dev(shards[s], classes[c].model_index) <=
-                              classes[c].deadline_seconds;
-    }
-  }
-
-  Router router(static_cast<int>(num_shards), options.router);
-  FleetSimResult result;
-  result.decisions.reserve(arrivals.size());
-  result.classes.assign(num_classes, {});
-  std::vector<std::vector<double>> latencies(num_classes);
-
-  std::vector<double> arrival_time(arrivals.size());
-  std::vector<int> arrival_class(arrivals.size());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    arrival_time[i] = arrivals[i].at_seconds;
-    arrival_class[i] = arrivals[i].class_index;
-    HDNN_CHECK(arrival_class[i] >= 0 &&
-               arrival_class[i] < static_cast<int>(num_classes))
-        << "arrival class " << arrival_class[i] << " out of range";
-    HDNN_CHECK(i == 0 || arrival_time[i] >= arrival_time[i - 1])
-        << "trace arrivals must be time-ordered";
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::size_t next_arrival = 0;
-  double now = 0;
-  std::vector<DeadlineQueue<int>::Entry> scratch;
-
-  auto min_free = [](const ShardSim& sim) {
-    return *std::min_element(sim.worker_free.begin(), sim.worker_free.end());
-  };
-
-  for (;;) {
-    // Earliest dispatch opportunity across shards (lowest shard wins ties).
-    double dispatch_t = kInf;
-    std::size_t dispatch_s = 0;
-    bool have_dispatch = false;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      ShardSim& sim = shards[s];
-      const double mf = min_free(sim);
-      for (std::size_t c = 0; c < num_classes; ++c) {
-        const DeadlineQueue<int>& q = sim.queues[c];
-        if (q.empty()) continue;
-        const double ready_t =
-            q.size() >= q.max_batch() ? now : q.NextTriggerTime();
-        const double t = std::max({ready_t, mf, now});
-        if (t < dispatch_t) {
-          dispatch_t = t;
-          dispatch_s = s;
-          have_dispatch = true;
-        }
-      }
-    }
-    const double arrival_t =
-        next_arrival < arrivals.size() ? arrival_time[next_arrival] : kInf;
-    if (!have_dispatch && next_arrival >= arrivals.size()) break;
-
-    if (have_dispatch && dispatch_t <= arrival_t) {
-      // Dispatch first on ties (mirrors ServeTrace).
-      now = dispatch_t;
-      ShardSim& sim = shards[dispatch_s];
-      std::vector<bool> ready(num_classes, false);
-      for (std::size_t c = 0; c < num_classes; ++c)
-        ready[c] = sim.queues[c].DispatchReady(now);
-      const int picked =
-          PickReadyQueue(ready, weights, sim.credits, sim.scan_start);
-      if (picked < 0) continue;  // the trigger moved; recompute events
-      DeadlineQueue<int>& q = sim.queues[static_cast<std::size_t>(picked)];
-      scratch.clear();
-      q.SweepExpired(now, scratch);
-      result.classes[static_cast<std::size_t>(picked)].expired +=
-          static_cast<std::int64_t>(scratch.size());
-      if (!q.DispatchReady(now)) continue;  // sweep cancelled the trigger
-      std::vector<DeadlineQueue<int>::Entry> batch = q.TakeBatch();
-      sim.scan_start =
-          (static_cast<std::size_t>(picked) + 1) % num_classes;
-      if (batch.empty()) continue;
-      // The batch runs back-to-back on the earliest-free instance.
-      const auto w = static_cast<std::size_t>(
-          std::min_element(sim.worker_free.begin(), sim.worker_free.end()) -
-          sim.worker_free.begin());
-      const double item_s = dev(sim, classes[static_cast<std::size_t>(picked)]
-                                         .model_index);
-      double finish = now;
-      for (const auto& e : batch) {
-        finish += item_s;
-        const double latency =
-            finish - arrival_time[static_cast<std::size_t>(e.value)];
-        FleetClassStats& cs =
-            result.classes[static_cast<std::size_t>(picked)];
-        ++cs.ok;
-        if (finish >= options.tail_window_start_seconds) ++cs.ok_tail;
-        latencies[static_cast<std::size_t>(picked)].push_back(latency);
-      }
-      sim.worker_free[w] = finish;
-      sim.busy_seconds += finish - now;
-      sim.items += static_cast<std::int64_t>(batch.size());
-      ++sim.batches;
-      continue;
-    }
-
-    // Arrival.
-    now = arrival_t;
-    const std::size_t idx = next_arrival++;
-    const auto c = static_cast<std::size_t>(arrival_class[idx]);
-    const LatencyClass& cls = classes[c];
-    FleetClassStats& cs = result.classes[c];
-    ++cs.submitted;
-
-    std::vector<double> load(num_shards, 0);
-    std::vector<bool> mask_static(num_shards, false);
-    std::vector<bool> mask_dyn(num_shards, false);
-    bool any_dyn = false;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      const ShardSim& sim = shards[s];
-      double backlog = 0;
-      for (double wf : sim.worker_free) backlog += std::max(0.0, wf - now);
-      for (std::size_t c2 = 0; c2 < num_classes; ++c2) {
-        backlog += sim.queues[c2].size() *
-                   dev(sim, classes[c2].model_index);
-      }
-      load[s] = backlog / static_cast<double>(sim.worker_free.size());
-      if (!feasible_static[s][c]) continue;
-      mask_static[s] = true;
-      if (load[s] + dev(sim, cls.model_index) <= cls.deadline_seconds) {
-        mask_dyn[s] = true;
-        any_dyn = true;
-      }
-    }
-    // Deadline-aware masking: prefer shards whose backlog still leaves
-    // deadline slack; when none does, fall back to any statically-feasible
-    // shard and let admission shed. An all-false mask returns -1 but still
-    // consumes the decision slot, keeping decision k pinned to arrival k.
-    const int shard =
-        router.Route(load, any_dyn ? mask_dyn : mask_static);
-    result.decisions.push_back(shard);
-    if (shard < 0) {
-      ++cs.unroutable;
-      continue;
-    }
-    ShardSim& sim = shards[static_cast<std::size_t>(shard)];
-    DeadlineQueue<int>::Entry entry;
-    entry.value = static_cast<int>(idx);
-    entry.enqueue_s = now;
-    entry.deadline_s = cls.deadline_seconds == kNoDeadline
-                           ? kNoDeadline
-                           : now + cls.deadline_seconds;
-    scratch.clear();
-    DeadlineQueue<int>::Entry evicted;
-    const AdmitResult admit =
-        sim.queues[c].Push(entry, now, &evicted, scratch);
-    cs.expired += static_cast<std::int64_t>(scratch.size());
-    if (admit == AdmitResult::kRejected) {
-      ++cs.rejected;
-    } else if (admit == AdmitResult::kEvicted) {
-      ++result.classes[c].rejected;  // the evicted entry is of this class
-    }
-  }
-
-  // Horizon and rates.
-  double horizon = arrivals.empty() ? 0 : arrival_time.back();
-  for (const ShardSim& sim : shards)
-    for (double wf : sim.worker_free) horizon = std::max(horizon, wf);
-  result.horizon_seconds = horizon;
-  std::int64_t total_ok = 0;
-  std::int64_t total_ok_tail = 0;
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    FleetClassStats& cs = result.classes[c];
-    total_ok += cs.ok;
-    total_ok_tail += cs.ok_tail;
-    if (horizon > 0)
-      cs.achieved_qps = static_cast<double>(cs.ok) / horizon;
-    std::sort(latencies[c].begin(), latencies[c].end());
-    cs.p50_ms = Percentile(latencies[c], 0.50) * 1e3;
-    cs.p99_ms = Percentile(latencies[c], 0.99) * 1e3;
-  }
-  result.shards.assign(num_shards, {});
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const ShardSim& sim = shards[s];
-    const BoardCandidate& cand =
-        candidates[static_cast<std::size_t>(sim.cand)];
-    FleetShardStats& ss = result.shards[s];
-    ss.candidate_index = sim.cand;
-    ss.items = sim.items;
-    ss.batches = sim.batches;
-    ss.busy_seconds = sim.busy_seconds;
-    if (horizon > 0) {
-      const double capacity =
-          horizon * static_cast<double>(sim.worker_free.size());
-      ss.utilization = std::min(1.0, sim.busy_seconds / capacity);
-      ss.measured_qps = static_cast<double>(sim.items) / horizon;
-      ss.energy_joules = DefaultPowerModel().EnergyJoules(
-          cand.spec, cand.implementation.AsUsage(), horizon, ss.utilization);
-    }
-    result.energy_joules += ss.energy_joules;
-  }
-  if (horizon > 0)
-    result.total_ok_qps = static_cast<double>(total_ok) / horizon;
-  if (result.energy_joules > 0)
-    result.qps_per_joule =
-        static_cast<double>(total_ok) / result.energy_joules;
-  // No faults on this path: goodput is just throughput, and the tail
-  // window is populated so a chaos run has a like-for-like baseline.
-  if (horizon > 0) result.goodput_qps = static_cast<double>(total_ok) / horizon;
-  result.tail_seconds =
-      std::max(0.0, horizon - options.tail_window_start_seconds);
-  if (result.tail_seconds > 0) {
-    result.tail_goodput_qps =
-        static_cast<double>(total_ok_tail) / result.tail_seconds;
-  }
-  return result;
 }
 
 Fleet::Fleet(const std::vector<BoardCandidate>& candidates,

@@ -23,7 +23,8 @@
 // Tie rule (mirrors InferenceServer::ServeTrace): when a dispatch and an
 // arrival fall on the same virtual instant, the dispatch happens first and
 // the arrival joins the next batch. Dispatch ties across shards break
-// toward the lowest shard index, then the lowest class index.
+// toward the lowest shard index; within the shard, the weighted drain scan
+// picks the class.
 #ifndef HDNN_FLEET_FLEET_H_
 #define HDNN_FLEET_FLEET_H_
 
@@ -52,11 +53,11 @@ struct FleetOptions {
   /// empty = uniform (legacy round-robin).
   std::vector<double> class_weights;
 
-  // --- Self-healing knobs (DESIGN.md Sec. 12). The chaos machinery only
-  // engages when SimulateFleet is handed a FaultPlan (even an empty one)
-  // or hedging is enabled; with neither, the simulation takes the legacy
-  // path and is bit-identical to the pre-chaos fleet.
-  /// Detection thresholds for the per-shard HealthTracker.
+  // --- Self-healing knobs (DESIGN.md Sec. 12).
+  /// Detection thresholds for the per-shard HealthTracker. Used when
+  /// SimulateFleet is handed a FaultPlan (even an empty one) or hedging is
+  /// on; with neither, the tripwires stay disarmed so a fault-free run is
+  /// never rerouted by detection.
   HealthOptions health;
   /// Hedge a request to the router's backup shard when its predicted
   /// completion (backlog + one item) eats more than
@@ -71,12 +72,6 @@ struct FleetOptions {
   /// detected (and retried) instead of served. Off = corruption is served
   /// silently and only the corrupted_served counter knows.
   bool crc_enabled = true;
-  /// On a permanent board loss, re-run the portfolio allocation over the
-  /// surviving boards (ReplanAfterLoss) and shed the unservable fraction
-  /// per class at admission — strictest-deadline classes keep their
-  /// traffic, the bulk tail degrades first.
-  bool replan_on_loss = true;
-  double replan_capacity_derate = 0.85;
   /// Start of the goodput tail window (recovery measurement): ok_tail
   /// counts clean completions at/after this instant. 0 = whole run.
   double tail_window_start_seconds = 0;
@@ -105,7 +100,8 @@ struct FleetClassStats {
   std::int64_t unroutable = 0;  ///< no feasible shard; shed at the router
   /// Terminal failures under fault injection: every copy was lost to a
   /// crash or rejected by the CRC check and the retry budget or deadline
-  /// ran out. Always 0 on the legacy (no-chaos) path. Conservation:
+  /// ran out. Always 0 with no FaultPlan and hedging off (health is then
+  /// disarmed, so no shard is ever declared down). Conservation:
   /// submitted == ok + rejected + expired + unroutable + failed.
   std::int64_t failed = 0;
   /// Clean (non-corrupted) completions inside the tail window
@@ -116,7 +112,7 @@ struct FleetClassStats {
   double p99_ms = 0;
 };
 
-/// Fleet-wide chaos counters (all zero on the legacy path).
+/// Fleet-wide chaos counters (all zero with no FaultPlan and hedging off).
 struct FleetChaosStats {
   std::int64_t hedges = 0;        ///< hedge copies admitted
   std::int64_t hedge_wasted = 0;  ///< duplicate executions of settled requests
@@ -169,16 +165,18 @@ struct FleetSimResult {
 /// pure modeling). Pure function of its arguments.
 ///
 /// `faults` (optional) injects the plan's seeded board faults into the
-/// virtual timeline and engages the self-healing machinery: HealthTracker
-/// detection (heartbeat silence, consecutive deadline misses), router
-/// masking of unhealthy shards, deadline hedging, capped retry with
+/// virtual timeline. The self-healing machinery is always in the loop:
+/// HealthTracker detection (heartbeat silence, consecutive deadline misses),
+/// router masking of unhealthy shards, deadline hedging, capped retry with
 /// backoff, CRC rejection of corrupted results, and degradation-aware
-/// re-planning on permanent board loss. Passing nullptr (and leaving
-/// hedging off) takes the legacy code path, bit-identical to the
-/// pre-chaos simulator; passing an EMPTY plan runs the full chaos event
-/// loop with no faults, which the chaos bench self-checks against the
-/// nullptr run. Still a pure function: same arguments -> bit-identical
-/// result, faults included.
+/// re-planning on permanent board loss (ReplanAfterLoss over the survivors
+/// at the planner's default capacity derate; each class then admits only
+/// its servable fraction, so the bulk tail degrades first). Passing nullptr with hedging
+/// off disarms the health tripwires, so nothing in that machinery fires;
+/// an EMPTY plan keeps `options.health` armed, and on a healthy fleet
+/// still matches the nullptr run bit for bit (the chaos bench checks
+/// this). A pure function: same arguments -> bit-identical result, faults
+/// included.
 FleetSimResult SimulateFleet(
     const std::vector<BoardCandidate>& candidates,
     const std::vector<int>& shard_candidates,

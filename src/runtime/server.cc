@@ -436,10 +436,7 @@ InferenceServer::TraceReport InferenceServer::ServeTrace(
     }
     // When does the pending batch dispatch? Size-ready queues dispatch as
     // soon as the drainer is free; otherwise the timeout trigger gates.
-    const double ready_s = queue.size() >= options_.max_batch
-                               ? now
-                               : queue.NextTriggerTime();
-    const double dispatch_s = std::max(ready_s, drainer_free);
+    const double dispatch_s = std::max(queue.ReadyTime(now), drainer_free);
     const double next_arrival_s =
         next < trace.size() ? trace[next].at_seconds
                             : std::numeric_limits<double>::infinity();

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <future>
 #include <set>
 #include <vector>
 
+#include "estimator/latency_cache.h"
 #include "fleet/portfolio.h"
 #include "fleet/router.h"
 #include "nn/builders.h"
@@ -436,6 +438,106 @@ TEST(FleetChaosSimTest, EmptyPlanIsBitIdenticalToLegacyPath) {
   EXPECT_EQ(chaos.chaos.retries, 0);
   EXPECT_EQ(chaos.chaos.shards_down, 0);
   EXPECT_EQ(chaos.chaos.health_transitions, 0);
+}
+
+// Everything a replay must pin, folded into one 64-bit value: the decision
+// vector, every class, shard and chaos counter, and the bit patterns of the
+// horizon, latency percentiles, busy time and energy.
+std::uint64_t ResultDigest(const FleetSimResult& r) {
+  std::uint64_t h = 0;
+  auto add = [&h](std::int64_t v) {
+    h = HashCombine(h, static_cast<std::uint64_t>(v));
+  };
+  auto add_bits = [&h](double v) {
+    h = HashCombine(h, std::bit_cast<std::uint64_t>(v));
+  };
+  add(static_cast<std::int64_t>(r.decisions.size()));
+  for (int d : r.decisions) add(d);
+  for (const FleetClassStats& c : r.classes) {
+    for (std::int64_t v : {c.submitted, c.ok, c.rejected, c.expired,
+                           c.unroutable, c.failed, c.ok_tail}) {
+      add(v);
+    }
+    add_bits(c.p50_ms);
+    add_bits(c.p99_ms);
+  }
+  for (const FleetShardStats& s : r.shards) {
+    add(s.candidate_index);
+    add(s.items);
+    add(s.batches);
+    add_bits(s.busy_seconds);
+    add_bits(s.energy_joules);
+  }
+  const FleetChaosStats& x = r.chaos;
+  for (std::int64_t v : {x.hedges, x.hedge_wasted, x.retries,
+                         x.corrupted_detected, x.corrupted_served,
+                         x.degraded_shed}) {
+    add(v);
+  }
+  for (int v : {x.replans, x.shards_down, x.health_transitions}) add(v);
+  add_bits(x.first_down_seconds);
+  add_bits(r.horizon_seconds);
+  add_bits(r.energy_joules);
+  return h;
+}
+
+// Digests of an overloaded fleet (the RerunsAreBitIdentical fleet at
+// 9000/8000 QPS, default HealthOptions) captured before the fleet sim was
+// reduced to one event loop: with no plan, with hedging only, and under a
+// composed fault plan with hedging and retries. Any change to the loop's
+// event order, accounting or arithmetic moves at least one of them.
+TEST(FleetChaosSimTest, OverloadedFleetMatchesCapturedDigests) {
+  std::vector<BoardCandidate> cands;
+  cands.push_back(MakeCandidate("big", 2, 20.0, {0.0005, 0.0002}));
+  cands.push_back(MakeCandidate("small", 1, 4.0, {0.002, 0.0008}));
+  const std::vector<LatencyClass> classes{
+      MakeClass("tight", 0, 9000.0, 0.004),
+      MakeClass("loose", 1, 8000.0, 0.020)};
+  const std::vector<std::vector<double>> dev{cands[0].item_seconds,
+                                             cands[1].item_seconds};
+  const std::vector<int> shards{0, 0, 1};
+  FleetOptions opts;
+  opts.max_batch = 4;
+  opts.max_queue_delay_seconds = 0.001;
+  opts.class_weights = {2.0, 1.0};
+  const auto trace = MakePoissonTrace(classes, 0.25, 99);
+  ASSERT_EQ(trace.size(), 4222u);
+
+  const auto plain = SimulateFleet(cands, shards, classes, dev, trace, opts);
+  EXPECT_EQ(plain.classes[0].ok, 1772);
+  EXPECT_EQ(plain.classes[0].expired, 449);
+  EXPECT_EQ(plain.classes[1].ok, 1045);
+  EXPECT_EQ(plain.classes[1].rejected, 321);
+  EXPECT_EQ(plain.classes[1].expired, 635);
+  EXPECT_EQ(plain.chaos.health_transitions, 0);
+  EXPECT_EQ(ResultDigest(plain), 2404377634066318188ULL);
+
+  FleetOptions hedged = opts;
+  hedged.hedge_slack_fraction = 0.25;
+  const auto hedge_only =
+      SimulateFleet(cands, shards, classes, dev, trace, hedged);
+  EXPECT_GT(hedge_only.chaos.hedges, 0);
+  EXPECT_EQ(ResultDigest(hedge_only), 13399309517582675913ULL);
+
+  FaultPlan plan(15);
+  plan.AddCrash(1, 0.10);
+  plan.AddStall(2, 0.05, 0.01);
+  plan.AddSlowdown(0, 0.12, 0.04, 3.0);
+  plan.AddCorruption(0, 0.15, 10);
+  const auto faulted =
+      SimulateFleet(cands, shards, classes, dev, trace, hedged, &plan);
+  EXPECT_GT(faulted.chaos.retries, 0);
+  EXPECT_EQ(faulted.chaos.corrupted_detected, 10);
+  EXPECT_EQ(ResultDigest(faulted), 15742065137463748746ULL);
+
+  // An armed tracker is not inert on this overloaded trace: the empty plan
+  // keeps options.health and trips it, so the no-plan run above must keep
+  // health disarmed to hold its digest.
+  const FaultPlan empty(15);
+  const auto armed =
+      SimulateFleet(cands, shards, classes, dev, trace, opts, &empty);
+  EXPECT_EQ(armed.chaos.health_transitions, 186);
+  EXPECT_NE(ResultDigest(armed), ResultDigest(plain));
 }
 
 TEST(FleetChaosSimTest, CrashIsDetectedRetriedAndReplanned) {

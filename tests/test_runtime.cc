@@ -148,6 +148,25 @@ struct ResidentFixture {
   }
 };
 
+// LayerWeightsQ::bias may be empty: staging writes a zero bias, as the
+// golden reference assumes.
+TEST(RuntimeTest, BiasLessLayersMatchGolden) {
+  ResidentFixture fx;
+  for (LayerWeightsQ& lw : fx.weights) lw.bias = Tensor<std::int32_t>();
+  Runtime rt(fx.cfg, TestSpec());
+  const RunReport r = rt.Execute(fx.model, fx.cm, fx.weights, fx.inputs[0]);
+  EXPECT_EQ(r.output, fx.Golden(fx.cm, fx.inputs[0]));
+}
+
+TEST(RuntimeTest, WrongLengthBiasIsRejected) {
+  ResidentFixture fx;
+  fx.weights[1].bias =
+      Tensor<std::int32_t>(Shape{fx.model.layer(1).out_channels - 1});
+  Runtime rt(fx.cfg, TestSpec());
+  EXPECT_THROW(rt.Execute(fx.model, fx.cm, fx.weights, fx.inputs[0]),
+               InvalidArgument);
+}
+
 TEST(ResidentWeightsTest, WarmRuntimeMatchesFreshRuntimePerInput) {
   ResidentFixture fx;
   Runtime warm(fx.cfg, TestSpec());

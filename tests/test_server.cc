@@ -52,14 +52,17 @@ TEST(DeadlineQueueTest, SizeAndTimeoutTriggers) {
   };
 
   EXPECT_FALSE(q.DispatchReady(0.0));
+  EXPECT_EQ(q.ReadyTime(0.0), kNeverTriggers) << "empty queue";
   EXPECT_EQ(push(1, 0.000), AdmitResult::kAdmitted);
   EXPECT_FALSE(q.DispatchReady(0.005)) << "one waiter, delay not reached";
   EXPECT_DOUBLE_EQ(q.NextTriggerTime(), 0.010);
+  EXPECT_EQ(q.ReadyTime(0.005), q.NextTriggerTime()) << "timeout gates";
   EXPECT_TRUE(q.DispatchReady(0.010)) << "timeout trigger";
 
   EXPECT_EQ(push(2, 0.001), AdmitResult::kAdmitted);
   EXPECT_EQ(push(3, 0.002), AdmitResult::kAdmitted);
   EXPECT_TRUE(q.DispatchReady(0.002)) << "size trigger at max_batch";
+  EXPECT_EQ(q.ReadyTime(0.002), 0.002) << "size-ready dispatches now";
 
   const auto batch = q.TakeBatch();
   ASSERT_EQ(batch.size(), 3u);
