@@ -17,20 +17,17 @@
 // NI instances per board paced on MEASURED device seconds (cycle-sim, not
 // the estimator), deadline-aware power-of-two-choices routing, per-class
 // weighted drain scan. Reported per fleet: achieved QPS, per-class
-// p50/p99, per-shard utilization, fleet energy and QPS per joule.
+// p50/p99, per-shard utilization, fleet energy and QPS per joule, plus
+// estimator vs simulated per-item latency per (board, model) and per-shard
+// measured QPS against the planner's allocation.
 //
-// Checks (non-zero exit on failure):
-//   * determinism — the portfolio plan is bit-identical when the DSE runs
-//     with 1 vs 4 worker threads, and the routing decision vector and
-//     served counts are bit-identical across two simulation reruns;
-//   * validation — estimator vs simulated per-item latency is reported per
-//     (board, model), and per-shard measured QPS is reported against the
-//     planner's allocation;
-//   * headline — the portfolio fleet must reach >= 1.3x the naive fleet's
-//     sustained QPS or >= 1.3x its QPS per joule (it reaches both).
+// FleetSimTest.PortfolioScenarioIsStableAndBeatsNaive (tests/test_fleet.cc)
+// replays this scenario at the --smoke size and checks it: the plan does
+// not depend on the DSE's thread count, reruns are bit-identical, and the
+// portfolio reaches >= 1.3x the naive fleet's QPS or QPS per joule.
 //
 // JSON goes to stdout AND a file (default ./BENCH_fleet.json, override
-// with argv[1]). `--smoke` shortens the trace for CI.
+// with argv[1]). `--smoke` shortens the trace.
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
@@ -167,17 +164,6 @@ int main(int argc, char** argv) {
       PlanHomogeneous(candidates, naive_idx, classes, popts);
   const PortfolioPlan het = PlanPortfolio(candidates, classes, popts);
 
-  // Determinism across DSE worker counts: rebuild the candidate set with a
-  // 4-thread search and re-plan; the plan must be bit-identical.
-  DseOptions dse4 = dse;
-  dse4.num_threads = 4;
-  const std::vector<BoardCandidate> candidates4 =
-      BuildBoardCandidates(platforms, models, dse4);
-  const PortfolioPlan het4 = PlanPortfolio(candidates4, classes, popts);
-  const bool plan_stable = candidates4.size() == candidates.size() &&
-                           het4.boards == het.boards &&
-                           het4.planned_qps == het.planned_qps;
-
   // Device matrix: measured cycle-sim seconds for every board the fleets
   // deploy; unused candidates keep the estimator number (never dispatched).
   std::vector<std::vector<double>> device_seconds;
@@ -221,12 +207,6 @@ int main(int argc, char** argv) {
 
   const FleetSimResult het_sim = SimulateFleet(
       candidates, het.boards, classes, device_seconds, trace, fopts);
-  const FleetSimResult het_rerun = SimulateFleet(
-      candidates, het.boards, classes, device_seconds, trace, fopts);
-  const bool decisions_stable =
-      het_sim.decisions == het_rerun.decisions &&
-      het_sim.total_ok_qps == het_rerun.total_ok_qps &&
-      het_sim.energy_joules == het_rerun.energy_joules;
   const FleetSimResult naive_sim = SimulateFleet(
       candidates, naive.boards, classes, device_seconds, trace, fopts);
 
@@ -283,10 +263,6 @@ int main(int argc, char** argv) {
   EmitFleetRows("portfolio", het, candidates, classes, het_sim, first);
   EmitFleetRows("naive", naive, candidates, classes, naive_sim, first);
   Emit("\n  ],\n");
-  Emit("  \"determinism\": {\"plan_stable_across_threads\": %s, "
-       "\"decisions_stable\": %s, \"decisions\": %zu},\n",
-       plan_stable ? "true" : "false", decisions_stable ? "true" : "false",
-       het_sim.decisions.size());
   Emit("  \"headline\": {\"name\": \"portfolio_vs_naive\", "
        "\"naive_qps\": %.1f, \"portfolio_qps\": %.1f, "
        "\"qps_ratio\": %.3f, "
@@ -298,20 +274,6 @@ int main(int argc, char** argv) {
   std::fclose(g_json);
   g_json = nullptr;
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-
-  if (!plan_stable || !decisions_stable) {
-    std::fprintf(stderr,
-                 "FAIL: determinism (plan_stable=%d decisions_stable=%d)\n",
-                 plan_stable, decisions_stable);
-    return 2;
-  }
-  if (qps_ratio < 1.3 && qpj_ratio < 1.3) {
-    std::fprintf(stderr,
-                 "FAIL: portfolio fleet below 1.3x naive (qps %.3fx, "
-                 "qps/J %.3fx)\n",
-                 qps_ratio, qpj_ratio);
-    return 3;
-  }
   std::fprintf(stderr, "portfolio vs naive: %.2fx QPS, %.2fx QPS/joule\n",
                qps_ratio, qpj_ratio);
   return 0;

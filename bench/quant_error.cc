@@ -4,14 +4,13 @@
 // chosen shifts wired into every COMP QUAN_PARAM — and reports per-layer
 // and end-to-end error (max-abs, RMSE, SQNR) against the FP32 reference,
 // for both the legacy hand-assigned point (shift 6 everywhere) and the
-// calibrated point. Each quantized run is also checked bit-identical
-// between the simulator and the quantized golden reference; any mismatch
-// fails the bench.
+// calibrated point. The quantized side is the quantized golden reference;
+// QuantEndToEndTest.BenchModelsOnPynqMatchQuantGolden (tests/test_quant.cc)
+// checks the simulator bit-identical to it for these models and seeds.
 //
 // The JSON goes to stdout AND to a file (default ./BENCH_quant_error.json,
-// override with argv[1]); pass --smoke for the CI-sized run (fewer
-// calibration batches and eval inputs; scales barely move, the checks are
-// identical).
+// override with argv[1]); pass --smoke for the short run (fewer
+// calibration batches and eval inputs; scales barely move).
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -20,14 +19,12 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/check.h"
 #include "common/fixed_point.h"
 #include "nn/builders.h"
 #include "quant/calibration.h"
 #include "quant/golden.h"
 #include "quant/quant_config.h"
 #include "quant/scale_select.h"
-#include "runtime/runtime.h"
 
 using namespace hdnn;
 
@@ -87,9 +84,9 @@ struct ConfigReport {
   double e2e_max_abs = 0;
 };
 
-/// Runs one quantization point through compile + quantize + sim, checking
-/// sim output bit-identical to the quantized golden reference per input.
-/// `fp32_acts[b]` are the per-layer FP32 activations of eval input b.
+/// Runs one quantization point through compile + quantize + the quantized
+/// golden reference. `fp32_acts[b]` are the per-layer FP32 activations of
+/// eval input b.
 ConfigReport EvalConfig(const std::string& name, const Model& model,
                         const AccelConfig& cfg, const FpgaSpec& spec,
                         const std::vector<LayerMapping>& mapping,
@@ -100,7 +97,6 @@ ConfigReport EvalConfig(const std::string& name, const Model& model,
   const Compiler compiler(cfg, spec);
   const CompiledModel cm = compiler.Compile(model, mapping, &qc);
   const ModelWeightsQ wq = QuantizeParams(model, weightsF, cm);
-  Runtime runtime(cfg, spec);
 
   ConfigReport report;
   report.name = name;
@@ -109,11 +105,6 @@ ConfigReport EvalConfig(const std::string& name, const Model& model,
     const Tensor<std::int16_t> qin = QuantizeInputFmap(eval_inputs[b], cm);
     const std::vector<Tensor<std::int16_t>> golden =
         QuantGoldenForward(model, cm, wq, qin);
-    const RunReport run = runtime.Execute(model, cm, wq, qin);
-    HDNN_CHECK(run.output.shape() == golden.back().shape() &&
-               run.output.storage() == golden.back().storage())
-        << model.name() << "/" << name << " input " << b
-        << ": simulator output diverges from the quantized golden reference";
     for (int i = 0; i < model.num_layers(); ++i) {
       report.layers[static_cast<std::size_t>(i)].Add(
           fp32_acts[b][static_cast<std::size_t>(i)],

@@ -73,18 +73,6 @@ ResourceEstimate AnalyticalResources(const AccelConfig& cfg,
   return est;
 }
 
-ResourceEstimate AnalyticalResourcesSpatialOnly(const AccelConfig& cfg,
-                                                const FpgaSpec& spec,
-                                                const ProfileConstants& profile) {
-  ResourceEstimate est = AnalyticalResources(cfg, spec, profile);
-  // No Winograd transform datapath: the delta*m^2 LUT term and the
-  // hybrid-mode muxing vanish; DSPs are unchanged (Sec. 6.1: "no extra
-  // DSPs" — the alpha quantisation multipliers exist in both designs).
-  const double pe = static_cast<double>(cfg.pi) * cfg.po * cfg.pt * cfg.pt;
-  est.luts = cfg.ni * profile.gamma * pe;
-  return est;
-}
-
 ResourceEstimate ImplementationResources(const AccelConfig& cfg,
                                          const FpgaSpec& spec,
                                          const ProfileConstants& profile,

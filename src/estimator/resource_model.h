@@ -28,13 +28,6 @@ ResourceEstimate AnalyticalResources(const AccelConfig& cfg,
                                      const FpgaSpec& spec,
                                      const ProfileConstants& profile);
 
-/// Spatial-only variant of the analytical model: no Winograd transform
-/// datapath (alpha/delta terms vanish) — the paper's internal baseline for
-/// the 26.4% hybrid LUT-overhead claim (Sec. 6.1).
-ResourceEstimate AnalyticalResourcesSpatialOnly(const AccelConfig& cfg,
-                                                const FpgaSpec& spec,
-                                                const ProfileConstants& profile);
-
 /// Bottom-up implementation model: counts instantiated multipliers (with
 /// per-platform DSP packing), buffer partitions packed into BRAM blocks by
 /// width x depth (shallow partitions map to LUTRAM), and per-component LUT

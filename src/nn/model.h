@@ -13,6 +13,7 @@
 #define HDNN_NN_MODEL_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -85,17 +86,25 @@ struct ConvLayer {
     HDNN_CHECK(in.channels == in_channels)
         << name << ": input channels " << in.channels << " != layer "
         << in_channels;
+    // Padded extents in 64 bits: `pad` comes from model text, and
+    // `height + 2 * pad` must not overflow int before it is checked.
+    const std::int64_t pad2 = 2 * static_cast<std::int64_t>(pad);
+    const std::int64_t padded_h = in.height + pad2;
+    const std::int64_t padded_w = in.width + pad2;
     // Validate before dividing: a negative numerator truncates toward zero,
     // so an undersized input could pass the `oh > 0` check with oh == 1.
-    HDNN_CHECK(in.height + 2 * pad >= kernel_h &&
-               in.width + 2 * pad >= kernel_w)
+    HDNN_CHECK(padded_h >= kernel_h && padded_w >= kernel_w)
         << name << ": padded input " << in.height << "x" << in.width
         << " (+2*" << pad << ") smaller than kernel " << kernel_h << "x"
         << kernel_w;
-    const int oh = (in.height + 2 * pad - kernel_h) / stride + 1;
-    const int ow = (in.width + 2 * pad - kernel_w) / stride + 1;
+    const std::int64_t oh = (padded_h - kernel_h) / stride + 1;
+    const std::int64_t ow = (padded_w - kernel_w) / stride + 1;
     HDNN_CHECK(oh > 0 && ow > 0) << name << ": empty output";
-    return FmapShape{out_channels, oh, ow};
+    HDNN_CHECK(oh <= std::numeric_limits<int>::max() &&
+               ow <= std::numeric_limits<int>::max())
+        << name << ": output " << oh << "x" << ow << " does not fit int";
+    return FmapShape{out_channels, static_cast<int>(oh),
+                     static_cast<int>(ow)};
   }
 
   /// Output geometry after the optional fused max-pool.

@@ -1,7 +1,6 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <future>
 #include <utility>
@@ -22,18 +21,6 @@ inline void HashMix(std::uint64_t& h, std::uint64_t v) {
 }
 
 }  // namespace
-
-double HostItemsPerSecond(std::size_t items, double wall_seconds) {
-  if (items == 0) return 0;
-  // The smallest interval steady_clock can represent: a measured wall time
-  // of zero means "faster than one tick", so one tick is the conservative
-  // floor for the denominator.
-  constexpr double kMinTickSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::duration(1))
-          .count();
-  const double denom = wall_seconds > 0 ? wall_seconds : kMinTickSeconds;
-  return static_cast<double>(items) / denom;
-}
 
 std::uint64_t ModelStructuralHash(const Model& model,
                                   const std::vector<LayerMapping>& mapping) {
@@ -164,8 +151,6 @@ BatchReport InferenceEngine::ExecuteBatch(
     leases.push_back(rt_pool_.Checkout(cfg));
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-
   // Static round-robin assignment: item i -> worker i % W. Each worker
   // executes its items in increasing order on its private Runtime, so a run
   // is reproducible regardless of scheduling, and each item sees exactly
@@ -192,11 +177,6 @@ BatchReport InferenceEngine::ExecuteBatch(
   for (const std::exception_ptr& error : item_error) {
     if (error) std::rethrow_exception(error);
   }
-
-  const auto t1 = std::chrono::steady_clock::now();
-  report.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  report.items_per_second = HostItemsPerSecond(inputs.size(),
-                                               report.wall_seconds);
 
   // Modeled-accelerator makespan: the W workers stand in for W parallel
   // accelerator instances, each running its items back to back.

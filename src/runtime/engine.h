@@ -13,12 +13,11 @@
 //     Runtime::Execute calls — and concurrent ExecuteBatch callers overlap
 //     instead of serializing on an engine-wide lock.
 //
-// Throughput is reported in two domains:
-//   * host wall-clock (items/s) — serving speed of this process;
-//   * modeled accelerator time — the batch makespan when the W workers are
-//     viewed as W parallel accelerator instances, i.e. aggregate effective
-//     GOPS in the sense of paper Table 4. This is deterministic and
-//     machine-independent, so tests and benches can rely on it.
+// Throughput is reported in modeled accelerator time: the batch makespan
+// when the W workers are viewed as W parallel accelerator instances, i.e.
+// aggregate effective GOPS in the sense of paper Table 4. This is
+// deterministic and machine-independent, so tests can rely on it. Host
+// time is perfbench's to measure (perfbench/README.md).
 #ifndef HDNN_RUNTIME_ENGINE_H_
 #define HDNN_RUNTIME_ENGINE_H_
 
@@ -44,22 +43,11 @@ namespace hdnn {
 std::uint64_t ModelStructuralHash(const Model& model,
                                   const std::vector<LayerMapping>& mapping);
 
-/// Host serving rate for `items` completed in `wall_seconds`. Sub-tick
-/// batches can measure a wall time of exactly zero on coarse steady_clock
-/// implementations; rather than reporting an items/s of 0 (which reads as
-/// "infinitely slow" in every downstream bench table), the rate falls back
-/// to assuming the batch took one clock tick — a lower bound on what the
-/// clock can resolve, hence a conservative (under-)estimate of the true
-/// rate. Zero items always report 0.
-double HostItemsPerSecond(std::size_t items, double wall_seconds);
-
 /// Result of one ExecuteBatch call.
 struct BatchReport {
   std::vector<RunReport> items;  ///< one per input, in input order
 
   int workers_used = 0;
-  double wall_seconds = 0;       ///< host wall-clock for the whole batch
-  double items_per_second = 0;   ///< host-side serving throughput
 
   /// Batch makespan in modeled accelerator time: max over workers of the
   /// summed simulated seconds of the items that worker executed.

@@ -4,8 +4,10 @@
 //   * Pareto properties — no frontier point dominates another, every point
 //     fits its platform, and the frontier contains the legacy single-
 //     objective winner on both paper platforms;
-//   * memo-cache correctness — warm (cached) and cold results are
-//     bit-identical, and the cache actually gets hits.
+//   * memo-cache correctness — warm (cached), cold and uncached serial
+//     results are bit-identical on both paper platforms for {VGG16 conv,
+//     full VGG16, ResNet-18 with residuals}, and the cache actually gets
+//     hits.
 #include <gtest/gtest.h>
 
 #include "dse/search.h"
@@ -139,44 +141,63 @@ TEST(DseParallelTest, FrontierContainsLegacyWinner) {
   }
 }
 
+// The reference every memoized result must reproduce bit for bit: a fresh
+// engine, one worker thread, memoization off.
+DseFrontier ExploreUncached(const FpgaSpec& spec, const Model& model) {
+  DseOptions opts;
+  opts.num_threads = 1;
+  opts.use_memo = false;
+  DseEngine engine(spec);
+  const DseFrontier f = engine.ExploreFrontier(model, opts);
+  EXPECT_EQ(engine.cache_entries(), 0u);
+  return f;
+}
+
+DseOptions MemoOptions() {
+  DseOptions opts;
+  opts.num_threads = 0;  // hardware concurrency
+  opts.use_memo = true;
+  return opts;
+}
+
 TEST(DseParallelTest, MemoCacheWarmVsColdIdentical) {
-  const Model model = BuildResNet18Style();
-  DseEngine engine(Vu9pSpec());
+  for (const auto* spec : {&Vu9pSpec(), &PynqZ1Spec()}) {
+    for (const Model& model : {BuildResNet18Style(), BuildResNet18()}) {
+      SCOPED_TRACE(::testing::Message() << spec->name << " " << model.name());
+      DseEngine engine(*spec);
+      const DseFrontier cold = engine.ExploreFrontier(model, MemoOptions());
+      EXPECT_GT(engine.cache_entries(), 0u);
+      // ResNet stages repeat layer geometries, so even a cold exploration
+      // hits.
+      EXPECT_GT(engine.cache_stats().hits, 0);
 
-  DseOptions memo_opts;
-  memo_opts.use_memo = true;
-  const DseFrontier cold = engine.ExploreFrontier(model, memo_opts);
-  const auto stats_after_cold = engine.cache_stats();
-  EXPECT_GT(engine.cache_entries(), 0u);
-  // ResNet stages repeat layer geometries, so even a cold exploration hits.
-  EXPECT_GT(stats_after_cold.hits, 0);
-
-  const DseFrontier warm = engine.ExploreFrontier(model, memo_opts);
-  ExpectSameFrontier(cold, warm);
-
-  // A fresh engine with memoization disabled recomputes everything and must
-  // land on exactly the same bits.
-  DseOptions no_memo;
-  no_memo.use_memo = false;
-  DseEngine cold_engine(Vu9pSpec());
-  const DseFrontier recomputed = cold_engine.ExploreFrontier(model, no_memo);
-  ExpectSameFrontier(cold, recomputed);
-  EXPECT_EQ(cold_engine.cache_entries(), 0u);
+      const DseFrontier warm = engine.ExploreFrontier(model, MemoOptions());
+      ExpectSameFrontier(cold, warm);
+      ExpectSameFrontier(ExploreUncached(*spec, model), cold);
+    }
+  }
 }
 
 TEST(DseParallelTest, MemoCacheSharesLayersAcrossModels) {
-  // vgg16_full extends vgg16_conv: exploring the conv-only body first must
-  // make the full model's conv layers pure cache hits.
-  DseEngine engine(Vu9pSpec());
-  engine.ExploreFrontier(BuildVgg16ConvOnly());
-  const auto before = engine.cache_stats();
-  const DseFrontier full = engine.ExploreFrontier(BuildVgg16());
-  const auto after = engine.cache_stats();
-  EXPECT_GT(after.hits, before.hits);
-
-  // And the shared-cache result matches a dedicated engine's.
-  const DseFrontier fresh = DseEngine(Vu9pSpec()).ExploreFrontier(BuildVgg16());
-  ExpectSameFrontier(fresh, full);
+  // One engine per platform explores the model family in turn, as a
+  // portfolio service would: vgg16_full extends vgg16_conv, so the full
+  // model's conv layers are pure cache hits. Every shared-cache result
+  // must match the uncached reference.
+  const Model vgg_conv = BuildVgg16ConvOnly();
+  const Model vgg_full = BuildVgg16();
+  const Model resnet = BuildResNet18();
+  for (const auto* spec : {&Vu9pSpec(), &PynqZ1Spec()}) {
+    SCOPED_TRACE(spec->name);
+    DseEngine engine(*spec);
+    ExpectSameFrontier(ExploreUncached(*spec, vgg_conv),
+                       engine.ExploreFrontier(vgg_conv, MemoOptions()));
+    const auto before = engine.cache_stats();
+    const DseFrontier full = engine.ExploreFrontier(vgg_full, MemoOptions());
+    EXPECT_GT(engine.cache_stats().hits, before.hits);
+    ExpectSameFrontier(ExploreUncached(*spec, vgg_full), full);
+    ExpectSameFrontier(ExploreUncached(*spec, resnet),
+                       engine.ExploreFrontier(resnet, MemoOptions()));
+  }
 }
 
 TEST(DseParallelTest, ResNetStyleExploresOnBothPlatforms) {

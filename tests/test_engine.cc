@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <chrono>
 #include <future>
 #include <numeric>
 #include <thread>
@@ -364,20 +363,6 @@ TEST(InferenceEngineTest, CacheKeyCoversEveryAccelConfigField) {
     EXPECT_TRUE(hit) << "re-lookup of '" << field << "' mutation missed";
   }
   EXPECT_EQ(engine.cache_size(), 1u + mutations.size());
-}
-
-TEST(HostItemsPerSecondTest, SubTickWallTimeFallsBackToOneClockTick) {
-  // A batch so fast the steady_clock delta rounds to zero must still report
-  // a finite, positive rate — one clock tick is the conservative floor.
-  constexpr double kTick =
-      std::chrono::duration<double>(std::chrono::steady_clock::duration(1))
-          .count();
-  EXPECT_DOUBLE_EQ(HostItemsPerSecond(4, 0.0), 4.0 / kTick);
-  EXPECT_GT(HostItemsPerSecond(1, 0.0), 0.0);
-  // Normal path is unaffected; the empty batch stays at zero.
-  EXPECT_DOUBLE_EQ(HostItemsPerSecond(10, 2.0), 5.0);
-  EXPECT_EQ(HostItemsPerSecond(0, 0.0), 0.0);
-  EXPECT_EQ(HostItemsPerSecond(0, 1.0), 0.0);
 }
 
 // N client threads hammering ONE engine with distinct models: with the

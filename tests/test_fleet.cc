@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "compiler/compiler.h"
 #include "estimator/latency_cache.h"
 #include "fleet/portfolio.h"
 #include "fleet/router.h"
@@ -741,6 +742,228 @@ TEST(FleetChaosSimTest, TotalLossWithDeadlinesFailsClosed) {
   EXPECT_EQ(res.chaos.shards_down, 2);
   EXPECT_GT(cs.failed + cs.expired + cs.unroutable, 0);
   EXPECT_LT(cs.ok, 8) << "a fleet-wide crash cannot serve everything";
+}
+
+// --- the fleet benches' scenarios (bench/fleet_qps, bench/fleet_chaos) ---
+
+// One item's modeled seconds on a candidate: compile, then one timing-only
+// cycle simulation.
+double MeasureDeviceSeconds(const BoardCandidate& cand, const Model& model,
+                            const std::vector<LayerMapping>& mapping) {
+  const CompiledModel cm =
+      Compiler(cand.config, cand.spec).Compile(model, mapping);
+  Runtime runtime(cand.config, cand.spec);
+  const RunReport report =
+      runtime.Execute(model, cm, {}, {}, /*functional=*/false);
+  return report.stats.total_cycles / (cand.spec.freq_mhz * 1e6);
+}
+
+// bench/fleet_qps at its --smoke size: a 76 W fleet over {VU9P, PYNQ-Z1}
+// for an interactive (TinyCnn, 2 ms) and a bulk (residual block, 25 ms)
+// class, overloaded, on measured cycle-sim latencies. The plan must not
+// depend on the DSE's thread count, reruns must replay bit-identically, and
+// the portfolio must beat naive champion replication by 1.3x on QPS or on
+// QPS per joule.
+TEST(FleetSimTest, PortfolioScenarioIsStableAndBeatsNaive) {
+  const Model tiny = BuildTinyCnn();
+  const Model resid = BuildTinyResidualBlock();
+  const std::vector<const Model*> models{&tiny, &resid};
+  const std::vector<const FpgaSpec*> platforms{&Vu9pSpec(), &PynqZ1Spec()};
+  const std::vector<LatencyClass> classes{
+      MakeClass("interactive", 0, 180000.0, 0.002),
+      MakeClass("bulk", 1, 420000.0, 0.025)};
+  PortfolioOptions popts;
+  popts.power_budget_watts = 76.0;
+  popts.max_boards = 16;
+
+  DseOptions dse;
+  dse.num_threads = 1;
+  const std::vector<BoardCandidate> candidates =
+      BuildBoardCandidates(platforms, models, dse);
+  const PortfolioPlan naive = PlanHomogeneous(
+      candidates, NaiveBestCandidate(candidates, classes), classes, popts);
+  const PortfolioPlan het = PlanPortfolio(candidates, classes, popts);
+
+  dse.num_threads = 4;
+  const std::vector<BoardCandidate> candidates4 =
+      BuildBoardCandidates(platforms, models, dse);
+  const PortfolioPlan het4 = PlanPortfolio(candidates4, classes, popts);
+  EXPECT_EQ(candidates4.size(), candidates.size());
+  EXPECT_EQ(het4.boards, het.boards);
+  EXPECT_EQ(het4.planned_qps, het.planned_qps);
+
+  // Deployed boards run on measured seconds; the rest keep the estimate.
+  std::vector<std::vector<double>> device_seconds;
+  for (const BoardCandidate& cand : candidates) {
+    device_seconds.push_back(cand.item_seconds);
+  }
+  std::set<int> used(naive.boards.begin(), naive.boards.end());
+  used.insert(het.boards.begin(), het.boards.end());
+  for (int b : used) {
+    const BoardCandidate& cand = candidates[static_cast<std::size_t>(b)];
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      device_seconds[static_cast<std::size_t>(b)][m] =
+          MeasureDeviceSeconds(cand, *models[m], cand.mappings[m]);
+    }
+  }
+
+  const auto trace = MakePoissonTrace(classes, 0.04, 2026);
+  FleetOptions fopts;
+  fopts.max_batch = 8;
+  fopts.max_queue_delay_seconds = 0.0002;
+  fopts.max_queue_depth = 64;
+  fopts.router.seed = 7;
+  fopts.router.choices = 2;
+  fopts.class_weights = {2.0, 1.0};
+  const auto het_sim = SimulateFleet(candidates, het.boards, classes,
+                                     device_seconds, trace, fopts);
+  const auto het_rerun = SimulateFleet(candidates, het.boards, classes,
+                                       device_seconds, trace, fopts);
+  EXPECT_EQ(het_rerun.decisions, het_sim.decisions);
+  EXPECT_EQ(het_rerun.total_ok_qps, het_sim.total_ok_qps);
+  EXPECT_EQ(het_rerun.energy_joules, het_sim.energy_joules);
+
+  const auto naive_sim = SimulateFleet(candidates, naive.boards, classes,
+                                       device_seconds, trace, fopts);
+  ASSERT_GT(naive_sim.total_ok_qps, 0);
+  ASSERT_GT(naive_sim.qps_per_joule, 0);
+  const double qps_ratio = het_sim.total_ok_qps / naive_sim.total_ok_qps;
+  const double qpj_ratio = het_sim.qps_per_joule / naive_sim.qps_per_joule;
+  EXPECT_TRUE(qps_ratio >= 1.3 || qpj_ratio >= 1.3)
+      << "portfolio vs naive: " << qps_ratio << "x QPS, " << qpj_ratio
+      << "x QPS/joule";
+}
+
+std::int64_t TotalOf(const FleetSimResult& sim,
+                     std::int64_t FleetClassStats::*field) {
+  std::int64_t total = 0;
+  for (const FleetClassStats& c : sim.classes) total += c.*field;
+  return total;
+}
+
+// bench/fleet_chaos at its --smoke size: five 1000-QPS boards, 2800 QPS
+// offered over 0.4 s, one Poisson trace replayed under each fault plan.
+TEST(FleetChaosSimTest, BenchScenariosReplayDetectAndRecover) {
+  BoardCandidate board = MakeCandidate("chaos-board", 1, 10.0, {0.001});
+  board.spec = PynqZ1Spec();
+  board.spec.name = "chaos-board";
+  board.config = AccelConfig{};
+  const std::vector<BoardCandidate> cands{board};
+  const std::vector<int> shards(5, 0);
+  const std::vector<LatencyClass> classes{
+      MakeClass("interactive", 0, 800.0, 0.005), MakeClass("bulk", 0, 2000.0)};
+  const double duration = 0.4;
+  const double crash_at = 0.25 * duration;
+  const auto trace = MakePoissonTrace(classes, duration, 4242);
+
+  FleetOptions opts;
+  opts.max_batch = 8;
+  opts.max_queue_delay_seconds = 0.0005;
+  opts.max_queue_depth = 64;
+  opts.router.seed = 7;
+  opts.router.choices = 2;
+  opts.class_weights = {2.0, 1.0};
+  opts.health.heartbeat_timeout_seconds = 0.02;
+  opts.health.down_after_seconds = 0.05;
+  opts.health.max_consecutive_misses = 0;
+  opts.max_retries = 2;
+  opts.retry_backoff_seconds = 0.0005;
+  opts.crc_enabled = true;
+  opts.tail_window_start_seconds = 0.5 * duration;
+
+  auto same = [](const FleetSimResult& a, const FleetSimResult& b) {
+    return ResultDigest(a) == ResultDigest(b) &&
+           a.total_ok_qps == b.total_ok_qps &&
+           a.goodput_qps == b.goodput_qps &&
+           a.tail_goodput_qps == b.tail_goodput_qps;
+  };
+  // Every scenario replays bit-identically and settles every request once.
+  auto run = [&](const char* name, const FleetOptions& o,
+                 const FaultPlan* plan) {
+    SCOPED_TRACE(name);
+    const auto res = SimulateFleet(cands, shards, classes, {{0.001}}, trace,
+                                   o, plan);
+    EXPECT_TRUE(same(res, SimulateFleet(cands, shards, classes, {{0.001}},
+                                        trace, o, plan)))
+        << "rerun diverged";
+    EXPECT_EQ(TotalOf(res, &FleetClassStats::submitted),
+              TotalOf(res, &FleetClassStats::ok) +
+                  TotalOf(res, &FleetClassStats::rejected) +
+                  TotalOf(res, &FleetClassStats::expired) +
+                  TotalOf(res, &FleetClassStats::unroutable) +
+                  TotalOf(res, &FleetClassStats::failed));
+    return res;
+  };
+
+  // No plan (health disarmed) and the empty plan (health armed) agree.
+  const auto baseline = run("baseline", opts, nullptr);
+  const FaultPlan empty_plan(4242);
+  EXPECT_TRUE(same(run("empty_plan", opts, &empty_plan), baseline));
+
+  // Crash: board 0 dies; it is declared down once, after the crash, the
+  // survivors are re-planned, and tail goodput recovers to >= 0.8x.
+  FaultPlan crash_plan(4242);
+  crash_plan.AddCrash(0, crash_at);
+  FleetOptions crash_opts = opts;
+  crash_opts.hedge_slack_fraction = 0.25;
+  const auto crash = run("crash", crash_opts, &crash_plan);
+  FaultPlan again(4242);
+  again.AddCrash(0, crash_at);
+  EXPECT_EQ(again.ScheduleDigest(), crash_plan.ScheduleDigest());
+  EXPECT_EQ(again.SerializeSchedule(), crash_plan.SerializeSchedule());
+  EXPECT_EQ(crash.chaos.shards_down, 1);
+  EXPECT_EQ(crash.chaos.replans, 1);
+  EXPECT_GE(crash.chaos.first_down_seconds, crash_at);
+  ASSERT_GT(baseline.tail_goodput_qps, 0);
+  EXPECT_GE(crash.tail_goodput_qps / baseline.tail_goodput_qps, 0.8);
+
+  // Transients: a 30 ms stall and a 40 ms 3x slowdown take no board down.
+  FaultPlan transient_plan(4242);
+  transient_plan.AddStall(1, 0.30 * duration, 0.030);
+  transient_plan.AddSlowdown(2, 0.50 * duration, 0.040, 3.0);
+  const auto transients = run("transients", opts, &transient_plan);
+  EXPECT_EQ(transients.chaos.shards_down, 0);
+  EXPECT_EQ(transients.chaos.replans, 0);
+
+  // Corruption: 25 results flipped on board 3; the CRC catches every one,
+  // and without it every one is served and dents goodput.
+  FaultPlan corrupt_plan(4242);
+  corrupt_plan.AddCorruption(3, 0.30 * duration, 25);
+  const auto crc_on = run("corruption_crc", opts, &corrupt_plan);
+  EXPECT_EQ(crc_on.chaos.corrupted_detected, 25);
+  EXPECT_EQ(crc_on.chaos.corrupted_served, 0);
+  FleetOptions no_crc = opts;
+  no_crc.crc_enabled = false;
+  const auto crc_off = run("corruption_served", no_crc, &corrupt_plan);
+  EXPECT_EQ(crc_off.chaos.corrupted_served, 25);
+  EXPECT_LT(crc_off.goodput_qps, crc_off.total_ok_qps);
+
+  // End to end on a real TinyCnn run: a DRAM flip inside the collection
+  // integrity window throws IntegrityError, and a retry reproduces the
+  // golden output and CRC (see test_fault.cc for the threshold).
+  const Model model = BuildTinyCnn();
+  const AccelConfig cfg;
+  const std::vector<LayerMapping> mapping(
+      static_cast<std::size_t>(model.num_layers()),
+      LayerMapping{ConvMode::kSpatial, Dataflow::kInputStationary});
+  const ModelWeightsQ weights = SyntheticWeights(model, 7);
+  const CompiledModel cm = Compiler(cfg, PynqZ1Spec()).Compile(model, mapping);
+  const FmapShape in = model.InputOf(0);
+  Tensor<std::int16_t> input(Shape{in.channels, in.height, in.width});
+  Prng prng(11);
+  input.FillRandomInt(prng, -128, 127);
+  Runtime rt(cfg, PynqZ1Spec());
+  rt.set_integrity_check(true);
+  const RunReport golden = rt.Execute(model, cm, weights, input);
+  const std::int64_t threshold = rt.dram()->words_read() +
+                                 rt.dram()->words_written() -
+                                 golden.output.elements() + 1;
+  rt.dram()->ArmFault(
+      {threshold, cm.output_region(model.num_layers() - 1), 0x0001});
+  EXPECT_THROW(rt.Execute(model, cm, weights, input), IntegrityError);
+  const RunReport retry = rt.Execute(model, cm, weights, input);
+  EXPECT_EQ(retry.output, golden.output);
+  EXPECT_EQ(retry.output_crc32, golden.output_crc32);
 }
 
 // --- live fleet ---

@@ -188,6 +188,14 @@ TEST(ModelParserTest, GeometryErrorsSurfaceAsParseErrors) {
       ParseError);
 }
 
+TEST(ModelParserTest, HugePadIsATypedErrorNotAnOverflow) {
+  // 8 + 2 * 2e9 does not fit in int: the padded extent must be computed
+  // wide and the oversized output rejected, not wrapped.
+  EXPECT_THROW(ParseModelText("model x\ninput 3 8 8\n"
+                              "conv name=a out=4 p=2000000000\n"),
+               ParseError);
+}
+
 TEST(FpgaSpecParserTest, ParsesFullSpec) {
   const FpgaSpec spec = ParseFpgaSpecText(
       "fpga myboard\n"

@@ -342,6 +342,43 @@ TEST(QuantEndToEndTest, CalibratedShiftsDifferFromHandAssigned) {
   EXPECT_TRUE(any_differs);
 }
 
+// The quant_error bench's models at its --smoke size on the PYNQ-Z1 design
+// point (TestConfig() is that point: PI=PO=PT=4, NI=1, and its buffers):
+// weights seed 7, calibration batches 100-101, held-out eval input 900. The
+// simulator must match the quantized golden under both the uniform and the
+// calibrated scales.
+TEST(QuantEndToEndTest, BenchModelsOnPynqMatchQuantGolden) {
+  const AccelConfig cfg = TestConfig();
+  const Compiler compiler(cfg, PynqZ1Spec());
+  for (const Model& model : {BuildTinyCnn(), BuildVgg16Style(32, 4),
+                             BuildResNet18Scaled(64, 4)}) {
+    const ModelWeightsF weightsF = SyntheticWeightsF(model, 7);
+    const std::vector<Tensor<float>> calib_inputs{
+        MakeCalibrationInput(model.input(), 100),
+        MakeCalibrationInput(model.input(), 101)};
+    const CalibrationResult calib = Calibrate(model, weightsF, calib_inputs);
+    const Tensor<float> input = MakeCalibrationInput(model.input(), 900);
+    const QuantConfig configs[] = {
+        QuantConfig::Uniform(model),
+        SelectScales(model, cfg, calib, weightsF, ScaleOptions{})};
+    for (const QuantConfig& qc : configs) {
+      SCOPED_TRACE(::testing::Message()
+                   << model.name() << (&qc == configs ? " uniform"
+                                                      : " calibrated"));
+      const CompiledModel cm =
+          compiler.Compile(model, SpatialMapping(model), &qc);
+      const ModelWeightsQ wq = QuantizeParams(model, weightsF, cm);
+      const Tensor<std::int16_t> qin = QuantizeInputFmap(input, cm);
+      const std::vector<Tensor<std::int16_t>> golden =
+          QuantGoldenForward(model, cm, wq, qin);
+      Runtime runtime(cfg, PynqZ1Spec());
+      const RunReport run = runtime.Execute(model, cm, wq, qin);
+      EXPECT_EQ(run.output.shape(), golden.back().shape());
+      EXPECT_EQ(run.output.storage(), golden.back().storage());
+    }
+  }
+}
+
 // ------------------------------------------------------------- engine cache
 
 TEST(QuantEngineTest, CacheKeyDistinguishesQuantConfigs) {

@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/deadline_queue.h"
+#include "dse/search.h"
 #include "nn/builders.h"
 #include "runtime/runtime.h"
 #include "tests/testing_util.h"
@@ -277,9 +279,12 @@ TEST(PickReadyQueueTest, DeterministicInStateAndBreaksTiesByRotation) {
 // --- server fixture ---
 
 struct ServerFixture {
+  explicit ServerFixture(FpgaSpec platform = TestSpec())
+      : spec(std::move(platform)) {}
+
   Model model = BuildTinyCnn();
   AccelConfig cfg = TestConfig();
-  FpgaSpec spec = TestSpec();
+  FpgaSpec spec;
   std::vector<LayerMapping> mapping =
       UniformMapping(model, ConvMode::kSpatial, Dataflow::kInputStationary);
   ModelWeightsQ weights = SyntheticWeights(model, 7);
@@ -328,36 +333,57 @@ TEST(InferenceServerTraceTest, BatchCompositionIsDeterministic) {
   EXPECT_DOUBLE_EQ(a.items[4].queue_seconds, opts.max_queue_delay_seconds);
 }
 
-TEST(InferenceServerTraceTest, FunctionalTraceBitIdenticalToSequential) {
-  ServerFixture f;
-  ServerOptions opts;
+// Serves `n` arrivals `spacing` seconds apart twice in functional mode on
+// one worker: the batch composition must repeat, and every output must be
+// bit- and cycle-identical to sequential Runtime execution.
+void ExpectTraceMatchesSequential(ServerFixture& f, ServerOptions opts, int n,
+                                  std::uint64_t seed, double spacing) {
   opts.num_workers = 1;
-  opts.max_batch = 3;
-  opts.max_queue_delay_seconds = 0.005;
   opts.mode = ExecMode::kFunctional;
   InferenceServer server(f.engine, opts);
   const ModelHandle h =
       server.RegisterModel(f.model, f.cfg, f.mapping, f.weights);
 
-  const auto inputs = MakeInputs(f.model, 5, 60);
+  const auto inputs = MakeInputs(f.model, n, seed);
   std::vector<InferenceServer::TraceArrival> trace;
-  for (int i = 0; i < 5; ++i) {
-    trace.push_back({0.001 * i, i, kNoDeadline});
+  for (int i = 0; i < n; ++i) {
+    trace.push_back({spacing * i, i, kNoDeadline});
   }
-  const auto report = server.ServeTrace(h, inputs, trace);
+  const auto a = server.ServeTrace(h, inputs, trace);
+  const auto b = server.ServeTrace(h, inputs, trace);
+  EXPECT_EQ(a.batch_sizes, b.batch_sizes) << "composition must be stable";
 
   const Compiler compiler(f.cfg, f.spec);
   const CompiledModel cm = compiler.Compile(f.model, f.mapping);
   Runtime runtime(f.cfg, f.spec);
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    ASSERT_EQ(report.items[i].outcome, ServeOutcome::kOk) << "item " << i;
+    ASSERT_EQ(a.items[i].outcome, ServeOutcome::kOk) << "item " << i;
+    ASSERT_EQ(b.items[i].outcome, ServeOutcome::kOk) << "item " << i;
     const RunReport seq =
         runtime.Execute(f.model, cm, f.weights, inputs[i]);
-    EXPECT_EQ(report.items[i].run.output, seq.output) << "item " << i;
-    EXPECT_EQ(report.items[i].run.stats.total_cycles,
+    EXPECT_EQ(a.items[i].run.output, seq.output) << "item " << i;
+    EXPECT_EQ(b.items[i].run.output, seq.output) << "item " << i;
+    EXPECT_EQ(a.items[i].run.stats.total_cycles,
               seq.stats.total_cycles)
         << "item " << i;
   }
+}
+
+TEST(InferenceServerTraceTest, FunctionalTraceBitIdenticalToSequential) {
+  ServerFixture f;
+  ServerOptions opts;
+  opts.max_batch = 3;
+  opts.max_queue_delay_seconds = 0.005;
+  ExpectTraceMatchesSequential(f, opts, 5, 60, 0.001);
+
+  // The DSE's PYNQ-Z1 deployment under the serve_latency bench's replay.
+  ServerFixture pynq(PynqZ1Spec());
+  const DseResult dse = DseEngine(pynq.spec).Explore(pynq.model);
+  pynq.cfg = dse.config;
+  pynq.mapping = dse.mapping;
+  opts.max_batch = 4;
+  opts.max_queue_delay_seconds = 0.002;
+  ExpectTraceMatchesSequential(pynq, opts, 6, 9000, 0.0005);
 }
 
 TEST(InferenceServerTraceTest, DeadlinesShedDeterministically) {

@@ -3,7 +3,8 @@
 // simulator and must match (a) the golden refconv/winograd references
 // computed fresh each run, and (b) output vectors captured from the
 // pre-refactor simulator (vector-of-vectors scratch, per-element slab
-// checks). (b) pins the exact integer semantics: if a change is
+// checks), plus the modeled cycles and DRAM traffic of the same run. (b)
+// pins the exact integer semantics and the cycle model: if a change is
 // "consistently wrong" — altering the simulator and reference together —
 // the captured constants still catch it.
 #include <gtest/gtest.h>
@@ -70,11 +71,16 @@ std::vector<LayerMapping> MixedMapping() {
 /// Do NOT regenerate these from a current build to make a failure go away:
 /// they are the contract that optimisation work preserves the original
 /// integer semantics.
+/// The modeled timing (cycles, DRAM traffic) was captured later, from the
+/// same configuration; it pins the cycle model the same way.
 struct CapturedOutput {
   std::int64_t elements;
   std::uint64_t fnv1a;
   std::int16_t first8[8];
   std::int16_t last4[4];
+  double total_cycles;
+  std::int64_t dram_words_read;
+  std::int64_t dram_words_written;
 };
 
 constexpr CapturedOutput kCapturedPt4 = {
@@ -82,12 +88,18 @@ constexpr CapturedOutput kCapturedPt4 = {
     0xbe6daf022dc5627eull,
     {268, 62, 187, 165, 235, 105, 0, 0},
     {177, 0, 0, 0},
+    3411.25,
+    24448,
+    4312,
 };
 constexpr CapturedOutput kCapturedPt6 = {
     392,
     0x919159783e8f94a5ull,
     {272, 46, 200, 174, 251, 111, 0, 0},
     {153, 0, 0, 0},
+    3206.25,
+    31008,
+    4312,
 };
 
 class MixedModelRegression : public ::testing::TestWithParam<int> {};
@@ -112,6 +124,9 @@ TEST_P(MixedModelRegression, MatchesGoldenAndCapturedVectors) {
     const std::int64_t idx = captured.elements - 4 + i;
     EXPECT_EQ(r.sim_out.flat(idx), captured.last4[i]) << "element " << idx;
   }
+  EXPECT_EQ(r.report.stats.total_cycles, captured.total_cycles);
+  EXPECT_EQ(r.report.stats.dram_words_read, captured.dram_words_read);
+  EXPECT_EQ(r.report.stats.dram_words_written, captured.dram_words_written);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothTileSizes, MixedModelRegression,
