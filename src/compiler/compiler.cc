@@ -131,19 +131,17 @@ class Codegen {
       }
       plan.quan_shift = kBaseShift + plan.u_shift;
       plan.groups = ComputeGroups(layer, plan.in_shape, plan.mapping.mode, cfg_);
-      if (plan.groups.cb > 1) {
-        // Channel blocking: WS only, single fmap group (see compiler.h).
-        HDNN_CHECK(plan.groups.fmap_groups() == 1)
+      // The partitioning may force the loop order (DataflowLegal): channel
+      // blocking runs WS, decomposed kernels IS.
+      Dataflow& flow = plan.mapping.dataflow;
+      if (!DataflowLegal(plan.groups, flow)) {
+        flow = flow == Dataflow::kInputStationary
+                   ? Dataflow::kWeightStationary
+                   : Dataflow::kInputStationary;
+        HDNN_CHECK(DataflowLegal(plan.groups, flow))
             << layer.name
-            << ": channel blocking with multiple fmap groups is unsupported";
-        HDNN_CHECK(plan.groups.slices == 1)
-            << layer.name
-            << ": channel blocking with decomposed kernels is unsupported";
-        plan.mapping.dataflow = Dataflow::kWeightStationary;
-      } else if (plan.groups.slices > 1) {
-        // Decomposed Winograd kernels accumulate slices on chip per fmap
-        // group, which requires the IS loop order.
-        plan.mapping.dataflow = Dataflow::kInputStationary;
+            << ": channel blocking needs a single fmap group and a single "
+               "kernel slice";
       }
       plan.cp_in = static_cast<int>(
           RoundUp<std::int64_t>(plan.in_shape.channels, chan_quantum));

@@ -32,20 +32,6 @@ constexpr BufferRung kBufferLadder[] = {
     {2048, 576, 1024},
 };
 
-bool IsLegalCombo(const ConvLayer& layer, ConvMode mode, Dataflow flow,
-                  const GroupCounts& g) {
-  if (mode == ConvMode::kWinograd && !WinogradApplicable(layer)) return false;
-  if (g.cb > 1) {
-    // Channel blocking requires WS and a single fmap group (compiler rule).
-    if (flow != Dataflow::kWeightStationary) return false;
-    if (g.fmap_groups() != 1) return false;
-    if (g.slices > 1) return false;
-  } else if (g.slices > 1 && flow != Dataflow::kInputStationary) {
-    return false;  // decomposed kernels accumulate per group -> IS only
-  }
-  return true;
-}
-
 int ResolveThreads(int num_threads) {
   if (num_threads > 0) return num_threads;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -182,9 +168,9 @@ LayerLatencyValue DseEngine::EvaluateLayerMode(
 
   LayerLatencyValue value;
   GroupCounts g;
-  bool scheduled = true;
+  bool scheduled = mode != ConvMode::kWinograd || WinogradApplicable(layer);
   try {
-    g = ComputeGroups(layer, in, mode, cfg);
+    if (scheduled) g = ComputeGroups(layer, in, mode, cfg);
   } catch (const CapacityError&) {
     scheduled = false;  // this mode cannot be scheduled on this config
   }
@@ -192,7 +178,7 @@ LayerLatencyValue DseEngine::EvaluateLayerMode(
     double best = std::numeric_limits<double>::infinity();
     for (Dataflow flow :
          {Dataflow::kInputStationary, Dataflow::kWeightStationary}) {
-      if (!IsLegalCombo(layer, mode, flow, g)) continue;
+      if (!DataflowLegal(g, flow)) continue;
       const LatencyBreakdown lb =
           EstimateLayerLatency(layer, in, mode, flow, cfg, spec_, fusion);
       if (lb.total < best) {

@@ -31,6 +31,14 @@ bool WinogradApplicable(const ConvLayer& layer) {
   return layer.stride == 1;
 }
 
+bool DataflowLegal(const GroupCounts& g, Dataflow flow) {
+  if (g.cb > 1) {
+    return flow == Dataflow::kWeightStationary && g.fmap_groups() == 1 &&
+           g.slices == 1;
+  }
+  return g.slices == 1 || flow == Dataflow::kInputStationary;
+}
+
 GroupCounts ComputeGroups(const ConvLayer& layer, const FmapShape& in,
                           ConvMode mode, const AccelConfig& cfg) {
   const FmapShape out = layer.ConvOutput(in);

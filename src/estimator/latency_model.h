@@ -43,6 +43,13 @@ GroupCounts ComputeGroups(const ConvLayer& layer, const FmapShape& in,
 /// kernel any size via decomposition).
 bool WinogradApplicable(const ConvLayer& layer);
 
+/// True iff a layer partitioned as `g` can run under `flow` — the
+/// compiler's loop-order rule, which the DSE filters on. Channel blocking
+/// (cb > 1) needs WS, a single fmap group and a single kernel slice;
+/// decomposed kernels (slices > 1) accumulate slices on chip per fmap
+/// group, which needs IS.
+bool DataflowLegal(const GroupCounts& g, Dataflow flow);
+
 /// Per-layer latency decomposition, cycles.
 struct LatencyBreakdown {
   double t_ldi = 0;      ///< LOAD_INP, one full pass of the input fmap (Eq. 10)

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <utility>
 
 #include "common/check.h"
+#include "common/deadline_queue.h"
 #include "common/prng.h"
 #include "platform/power_model.h"
 
@@ -36,6 +36,43 @@ std::vector<double> ClassWeights(const FleetOptions& options,
 }
 
 }  // namespace
+
+int PickReadyQueue(const std::vector<bool>& ready,
+                   const std::vector<double>& weights,
+                   std::vector<double>& credits, std::size_t scan_start) {
+  const std::size_t n = ready.size();
+  HDNN_CHECK(weights.size() == n && credits.size() == n)
+      << "policy state size mismatch: " << n << " queues, " << weights.size()
+      << " weights, " << credits.size() << " credits";
+  if (n == 0) return -1;
+  bool any_ready = false;
+  bool uniform = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    any_ready = any_ready || ready[i];
+    uniform = uniform && weights[i] == weights[0];
+  }
+  if (!any_ready) return -1;
+  if (uniform) {
+    // Legacy rotation: first ready queue at or after scan_start.
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t idx = (scan_start + k) % n;
+      if (ready[idx]) return static_cast<int>(idx);
+    }
+  }
+  // Smooth weighted round-robin over the ready set. Strict > keeps the
+  // earliest rotation position on credit ties.
+  double issued = 0;
+  std::size_t best = n;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t idx = (scan_start + k) % n;
+    if (!ready[idx]) continue;
+    credits[idx] += weights[idx];
+    issued += weights[idx];
+    if (best == n || credits[idx] > credits[best]) best = idx;
+  }
+  credits[best] -= issued;
+  return static_cast<int>(best);
+}
 
 /// The fleet's one virtual-time event loop (DESIGN.md Sec. 11-12). Events,
 /// in tie order at one instant:
@@ -721,237 +758,6 @@ std::vector<FleetTraceArrival> MakePoissonTrace(
                      return a.class_index < b.class_index;
                    });
   return trace;
-}
-
-Fleet::Fleet(const std::vector<BoardCandidate>& candidates,
-             const std::vector<int>& shard_candidates,
-             const std::vector<LatencyClass>& classes,
-             const std::vector<const Model*>& models,
-             const std::vector<const ModelWeightsQ*>& weights,
-             const FleetOptions& options, ExecMode mode)
-    : candidates_(candidates),
-      shard_candidates_(shard_candidates),
-      classes_(classes),
-      options_(options),
-      router_(static_cast<int>(
-                  std::max<std::size_t>(shard_candidates.size(), 1)),
-              options.router) {
-  HDNN_CHECK(!shard_candidates_.empty()) << "fleet has no shards";
-  HDNN_CHECK(!classes_.empty()) << "fleet has no latency classes";
-  HDNN_CHECK(models.size() == weights.size())
-      << "models/weights size mismatch";
-  health_mask_.assign(shard_candidates_.size(), true);
-  const std::vector<double> class_weights =
-      ClassWeights(options_, classes_.size());
-  for (int cand_idx : shard_candidates_) {
-    HDNN_CHECK(cand_idx >= 0 &&
-               cand_idx < static_cast<int>(candidates_.size()))
-        << "shard candidate index " << cand_idx << " out of range";
-    const BoardCandidate& cand =
-        candidates_[static_cast<std::size_t>(cand_idx)];
-    HDNN_CHECK(cand.item_seconds.size() == models.size())
-        << "candidate was built for a different model list";
-
-    // One engine per distinct platform: its program cache and RuntimePool
-    // are shared by every shard of that platform.
-    InferenceEngine* engine = nullptr;
-    for (std::size_t e = 0; e < engine_names_.size(); ++e) {
-      if (engine_names_[e] == cand.spec.name) engine = engines_[e].get();
-    }
-    if (engine == nullptr) {
-      engine_names_.push_back(cand.spec.name);
-      engines_.push_back(std::make_unique<InferenceEngine>(cand.spec, 1));
-      engine = engines_.back().get();
-    }
-
-    ServerOptions server_opts;
-    server_opts.num_workers = cand.config.ni;
-    server_opts.max_batch = options_.max_batch;
-    server_opts.max_queue_delay_seconds = options_.max_queue_delay_seconds;
-    server_opts.max_queue_depth = options_.max_queue_depth;
-    server_opts.mode = mode;
-    servers_.push_back(
-        std::make_unique<InferenceServer>(*engine, server_opts));
-    InferenceServer& server = *servers_.back();
-
-    std::vector<ModelHandle> handles(classes_.size(), -1);
-    for (std::size_t c = 0; c < classes_.size(); ++c) {
-      if (!ClassFeasible(cand, classes_[c])) continue;
-      const auto m = static_cast<std::size_t>(classes_[c].model_index);
-      handles[c] =
-          server.RegisterModel(*models[m], cand.config, cand.mappings[m],
-                               *weights[m], class_weights[c]);
-    }
-    handles_.push_back(std::move(handles));
-  }
-}
-
-Fleet::~Fleet() { Stop(); }
-
-void Fleet::RouteInputs(int class_index, std::vector<double>& load,
-                        std::vector<bool>& feasible) const {
-  const auto c = static_cast<std::size_t>(class_index);
-  const std::size_t num_shards = servers_.size();
-  load.assign(num_shards, 0);
-  feasible.assign(num_shards, false);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const BoardCandidate& cand =
-        candidates_[static_cast<std::size_t>(shard_candidates_[s])];
-    double backlog = 0;
-    for (std::size_t c2 = 0; c2 < classes_.size(); ++c2) {
-      if (handles_[s][c2] < 0) continue;
-      const ServerStats st = servers_[s]->stats(handles_[s][c2]);
-      const std::int64_t outstanding =
-          st.submitted - st.ok - st.rejected - st.expired;
-      backlog +=
-          static_cast<double>(std::max<std::int64_t>(outstanding, 0)) *
-          cand.item_seconds[static_cast<std::size_t>(
-              classes_[c2].model_index)];
-    }
-    load[s] = backlog / std::max(1, cand.config.ni);
-    feasible[s] = handles_[s][c] >= 0;
-  }
-}
-
-std::future<ItemReport> Fleet::Submit(int class_index,
-                                      Tensor<std::int16_t> input) {
-  HDNN_CHECK(class_index >= 0 &&
-             class_index < static_cast<int>(classes_.size()))
-      << "class index " << class_index << " out of range";
-  const auto c = static_cast<std::size_t>(class_index);
-  std::vector<double> load;
-  std::vector<bool> feasible;
-  RouteInputs(class_index, load, feasible);
-  int shard;
-  {
-    std::lock_guard<std::mutex> lock(router_mu_);
-    for (std::size_t s = 0; s < feasible.size(); ++s)
-      feasible[s] = feasible[s] && health_mask_[s];
-    shard = router_.Route(load, feasible);
-  }
-  if (shard < 0) {
-    std::promise<ItemReport> shed;
-    shed.set_value(ItemReport{});  // default outcome is kRejected
-    return shed.get_future();
-  }
-  return servers_[static_cast<std::size_t>(shard)]->Submit(
-      handles_[static_cast<std::size_t>(shard)][c], std::move(input),
-      classes_[c].deadline_seconds);
-}
-
-std::future<ItemReport> Fleet::SubmitHedged(int class_index,
-                                            Tensor<std::int16_t> input) {
-  HDNN_CHECK(class_index >= 0 &&
-             class_index < static_cast<int>(classes_.size()))
-      << "class index " << class_index << " out of range";
-  const auto c = static_cast<std::size_t>(class_index);
-  std::vector<double> load;
-  std::vector<bool> feasible;
-  RouteInputs(class_index, load, feasible);
-  RouteDecision rd;
-  {
-    std::lock_guard<std::mutex> lock(router_mu_);
-    for (std::size_t s = 0; s < feasible.size(); ++s)
-      feasible[s] = feasible[s] && health_mask_[s];
-    rd = router_.RoutePair(load, feasible);
-  }
-  if (rd.primary < 0) {
-    std::promise<ItemReport> shed;
-    shed.set_value(ItemReport{});  // default outcome is kRejected
-    return shed.get_future();
-  }
-  const double deadline = classes_[c].deadline_seconds;
-  if (rd.hedge < 0) {
-    return servers_[static_cast<std::size_t>(rd.primary)]->Submit(
-        handles_[static_cast<std::size_t>(rd.primary)][c], std::move(input),
-        deadline);
-  }
-  // Duplicate the work onto the backup shard; inference is pure, so the
-  // loser's result is simply dropped. The combining thread blocks on the
-  // inner futures, which Stop() resolves, so the outer future always
-  // reaches a terminal state.
-  auto primary = servers_[static_cast<std::size_t>(rd.primary)]->Submit(
-      handles_[static_cast<std::size_t>(rd.primary)][c], input, deadline);
-  auto hedge = servers_[static_cast<std::size_t>(rd.hedge)]->Submit(
-      handles_[static_cast<std::size_t>(rd.hedge)][c], std::move(input),
-      deadline);
-  return std::async(
-      std::launch::async,
-      [](std::future<ItemReport> p, std::future<ItemReport> h) {
-        ItemReport first = p.get();
-        if (first.outcome == ServeOutcome::kOk) return first;
-        const ItemReport second = h.get();
-        return second.outcome == ServeOutcome::kOk ? second : first;
-      },
-      std::move(primary), std::move(hedge));
-}
-
-void Fleet::SetShardHealth(int shard, bool routable) {
-  HDNN_CHECK(shard >= 0 && shard < num_shards())
-      << "shard index " << shard << " out of range";
-  std::lock_guard<std::mutex> lock(router_mu_);
-  health_mask_[static_cast<std::size_t>(shard)] = routable;
-}
-
-bool Fleet::shard_routable(int shard) const {
-  HDNN_CHECK(shard >= 0 && shard < num_shards())
-      << "shard index " << shard << " out of range";
-  std::lock_guard<std::mutex> lock(router_mu_);
-  return health_mask_[static_cast<std::size_t>(shard)];
-}
-
-ServerStats Fleet::class_stats(int class_index) const {
-  HDNN_CHECK(class_index >= 0 &&
-             class_index < static_cast<int>(classes_.size()))
-      << "class index " << class_index << " out of range";
-  const auto c = static_cast<std::size_t>(class_index);
-  ServerStats total;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (handles_[s][c] < 0) continue;
-    const ServerStats st = servers_[s]->stats(handles_[s][c]);
-    total.submitted += st.submitted;
-    total.ok += st.ok;
-    total.rejected += st.rejected;
-    total.expired += st.expired;
-    total.batches += st.batches;
-    total.batched_items += st.batched_items;
-  }
-  return total;
-}
-
-ServerStats Fleet::shard_stats(int shard) const {
-  HDNN_CHECK(shard >= 0 && shard < num_shards())
-      << "shard index " << shard << " out of range";
-  const auto s = static_cast<std::size_t>(shard);
-  ServerStats total;
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    if (handles_[s][c] < 0) continue;
-    const ServerStats st = servers_[s]->stats(handles_[s][c]);
-    total.submitted += st.submitted;
-    total.ok += st.ok;
-    total.rejected += st.rejected;
-    total.expired += st.expired;
-    total.batches += st.batches;
-    total.batched_items += st.batched_items;
-  }
-  return total;
-}
-
-std::int64_t Fleet::routed() const {
-  std::lock_guard<std::mutex> lock(router_mu_);
-  return router_.decisions();
-}
-
-void Fleet::Stop() {
-  for (auto& server : servers_) server->Stop();
-}
-
-InferenceEngine& Fleet::engine(const std::string& platform) {
-  for (std::size_t e = 0; e < engine_names_.size(); ++e) {
-    if (engine_names_[e] == platform) return *engines_[e];
-  }
-  HDNN_CHECK(false) << "no engine for platform '" << platform << "'";
-  __builtin_unreachable();
 }
 
 }  // namespace hdnn

@@ -1,24 +1,14 @@
 // A fleet of simulated accelerator boards serving open-loop traffic
 // (ROADMAP item 5, tentpole of the fleet PR).
 //
-// Two execution surfaces share the portfolio/router/admission policy:
-//
-//   * SimulateFleet — a single-threaded virtual-time event simulation of
-//     the whole fleet: per-shard per-class DeadlineQueues (the same policy
-//     object as the live server), NI worker instances per shard paced on
-//     caller-supplied device seconds, the weighted drain scan
-//     (runtime/server.h PickReadyQueue) for intra-shard cross-class
-//     fairness, and the deterministic Router for dispatch. No wall clock
-//     enters, so the decision vector and every statistic are bit-identical
-//     across reruns — the fleet bench pins this, and validates the
-//     planner's modeled capacity against the simulated measurement.
-//   * Fleet — the live composition: one InferenceEngine per distinct
-//     platform (all shards of a platform share its program cache and
-//     RuntimePool), one device-paced InferenceServer per board with
-//     num_workers = config.ni, and the same Router fed by live queue-depth
-//     estimates. Functional mode keeps outputs bit-identical to sequential
-//     execution (DESIGN.md Sec. 4); live wall-clock routing is not
-//     deterministic — determinism claims live in the simulator.
+// SimulateFleet is a single-threaded virtual-time event simulation of the
+// whole fleet: per-shard per-class DeadlineQueues (the same policy object as
+// the live InferenceServer), NI worker instances per shard paced on
+// caller-supplied device seconds, the weighted drain scan (PickReadyQueue)
+// for intra-shard cross-class fairness, and the deterministic Router for
+// dispatch. No wall clock enters, so the decision vector and every statistic
+// are bit-identical across reruns — the fleet bench pins this, and validates
+// the planner's modeled capacity against the simulated measurement.
 //
 // Tie rule (mirrors InferenceServer::ServeTrace): when a dispatch and an
 // arrival fall on the same virtual instant, the dispatch happens first and
@@ -28,18 +18,14 @@
 #ifndef HDNN_FLEET_FLEET_H_
 #define HDNN_FLEET_FLEET_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <future>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/fault.h"
 #include "fleet/health.h"
 #include "fleet/portfolio.h"
 #include "fleet/router.h"
-#include "runtime/server.h"
 
 namespace hdnn {
 
@@ -83,6 +69,22 @@ struct FleetTraceArrival {
   double at_seconds = 0;
   int class_index = 0;
 };
+
+/// Drain-scan pick: which ready class queue does a shard serve next?
+///
+/// With uniform weights this is the legacy rotation — the first ready queue
+/// at or after `scan_start`. With non-uniform weights it is smooth weighted
+/// round-robin over the READY set: every ready queue earns `weight` credits,
+/// the highest-credit queue wins (ties break in rotation order from
+/// `scan_start`) and pays back the credits issued this round, so
+/// continuously-backlogged queues are served in proportion to their weights
+/// while an idle queue never accumulates an unbounded burst claim.
+/// `credits` is the policy's persistent state (one slot per queue); the
+/// function is deterministic in (ready, weights, credits, scan_start).
+/// Returns -1 when nothing is ready.
+int PickReadyQueue(const std::vector<bool>& ready,
+                   const std::vector<double>& weights,
+                   std::vector<double>& credits, std::size_t scan_start);
 
 /// Seeded open-loop Poisson trace for every class over [0, duration), merged
 /// in time order (ties by class index). Class c draws from
@@ -184,85 +186,6 @@ FleetSimResult SimulateFleet(
     const std::vector<std::vector<double>>& device_seconds,
     const std::vector<FleetTraceArrival>& arrivals,
     const FleetOptions& options, const FaultPlan* faults = nullptr);
-
-/// The live composition (see file comment). Engines are created per
-/// distinct platform name and owned by the fleet; servers are device-paced
-/// unless `mode` says otherwise.
-class Fleet {
- public:
-  /// `models[m]` / `weights[m]` follow the model order the candidates were
-  /// built with. Registers every latency class on every shard whose board
-  /// is feasible for it.
-  Fleet(const std::vector<BoardCandidate>& candidates,
-        const std::vector<int>& shard_candidates,
-        const std::vector<LatencyClass>& classes,
-        const std::vector<const Model*>& models,
-        const std::vector<const ModelWeightsQ*>& weights,
-        const FleetOptions& options, ExecMode mode = ExecMode::kDevicePaced);
-  ~Fleet();
-
-  Fleet(const Fleet&) = delete;
-  Fleet& operator=(const Fleet&) = delete;
-
-  int num_shards() const { return static_cast<int>(servers_.size()); }
-
-  /// Routes one request of `class_index` to a shard (deadline-aware
-  /// least-loaded over live backlog estimates) and submits it. When no
-  /// shard is feasible the returned future resolves immediately with
-  /// kRejected.
-  std::future<ItemReport> Submit(int class_index,
-                                 Tensor<std::int16_t> input);
-
-  /// Submit with a hedge: routes via Router::RoutePair and, when a distinct
-  /// backup shard exists, submits the same input there too. The returned
-  /// future resolves with the primary's report when it succeeds, otherwise
-  /// with the hedge's (first non-error wins; duplicates are harmless
-  /// because inference is pure). Resolves like Submit when no backup
-  /// exists. Every future still resolves with a terminal status on Stop().
-  std::future<ItemReport> SubmitHedged(int class_index,
-                                       Tensor<std::int16_t> input);
-
-  /// Manual health override: an un-routable shard is masked out of every
-  /// subsequent Submit/SubmitHedged feasibility set (its queued work still
-  /// drains). Routable by default.
-  void SetShardHealth(int shard, bool routable);
-  bool shard_routable(int shard) const;
-
-  /// Per-class counters summed over every shard serving the class.
-  ServerStats class_stats(int class_index) const;
-  /// Per-shard counters summed over the classes it serves.
-  ServerStats shard_stats(int shard) const;
-  std::int64_t routed() const;
-
-  /// Stops every server (drains queues, joins workers). Idempotent.
-  void Stop();
-
-  InferenceServer& server(int shard) { return *servers_.at(shard); }
-  InferenceEngine& engine(const std::string& platform);
-
- private:
-  /// Live backlog estimate per shard plus the feasibility mask for one
-  /// class (registered handle AND manual health mask).
-  void RouteInputs(int class_index, std::vector<double>& load,
-                   std::vector<bool>& feasible) const;
-
-  std::vector<BoardCandidate> candidates_;
-  std::vector<int> shard_candidates_;
-  std::vector<LatencyClass> classes_;
-  FleetOptions options_;
-
-  std::vector<std::string> engine_names_;
-  std::vector<std::unique_ptr<InferenceEngine>> engines_;
-  std::vector<std::unique_ptr<InferenceServer>> servers_;
-  /// handles_[shard][class]; -1 when the shard's board is infeasible for
-  /// the class (never routed there).
-  std::vector<std::vector<ModelHandle>> handles_;
-
-  mutable std::mutex router_mu_;
-  Router router_;
-  /// Guarded by router_mu_; ANDed into every routing feasibility mask.
-  std::vector<bool> health_mask_;
-};
 
 }  // namespace hdnn
 

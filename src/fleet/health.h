@@ -14,9 +14,9 @@
 //     no on-time completion in between also trip kSuspect — the slow-clock
 //     failure mode, where the board still makes progress but too late.
 //
-// The tracker is time-base agnostic (plain double seconds): the virtual-
-// time fleet simulation drives it with simulated time, the live Fleet with
-// wall time. It is deliberately not thread-safe — callers serialize.
+// The tracker is time-base agnostic (plain double seconds); the virtual-
+// time fleet simulation drives it with simulated time. It is deliberately
+// not thread-safe — callers serialize.
 #ifndef HDNN_FLEET_HEALTH_H_
 #define HDNN_FLEET_HEALTH_H_
 

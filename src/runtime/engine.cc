@@ -61,15 +61,7 @@ std::size_t InferenceEngine::CacheKeyHash::operator()(
     const CacheKey& key) const {
   std::uint64_t h = key.structural_hash;
   HashMix(h, key.quant_fingerprint);
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.pi));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.po));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.pt));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.ni));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.data_width));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.wgt_width));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.input_buffer_vectors));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.weight_buffer_vectors));
-  HashMix(h, static_cast<std::uint64_t>(key.cfg.output_buffer_vectors));
+  HashMix(h, AccelConfigHashValue(key.cfg));
   return static_cast<std::size_t>(h);
 }
 

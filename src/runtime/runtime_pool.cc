@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/check.h"
-
 namespace hdnn {
 
 namespace {
@@ -30,13 +28,6 @@ std::uint64_t AccelConfigHashValue(const AccelConfig& cfg) {
   HashMix(h, static_cast<std::uint64_t>(cfg.weight_buffer_vectors));
   HashMix(h, static_cast<std::uint64_t>(cfg.output_buffer_vectors));
   return h;
-}
-
-RuntimePool::RuntimePool(const FpgaSpec& spec, int max_idle_per_config)
-    : spec_(spec), max_idle_per_config_(max_idle_per_config) {
-  HDNN_CHECK(max_idle_per_config >= 0)
-      << "max_idle_per_config must be non-negative, got "
-      << max_idle_per_config;
 }
 
 RuntimePool::Lease RuntimePool::Checkout(const AccelConfig& cfg) {
@@ -66,7 +57,7 @@ void RuntimePool::Return(const AccelConfig& cfg,
                          std::unique_ptr<Runtime> runtime) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::unique_ptr<Runtime>>& free_list = idle_[cfg];
-  if (static_cast<int>(free_list.size()) < max_idle_per_config_) {
+  if (static_cast<int>(free_list.size()) < kMaxIdlePerConfig) {
     free_list.push_back(std::move(runtime));
   }
   // else: drop — the unique_ptr destroys the surplus Runtime.

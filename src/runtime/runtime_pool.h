@@ -30,10 +30,10 @@ std::uint64_t AccelConfigHashValue(const AccelConfig& cfg);
 
 class RuntimePool {
  public:
-  /// `max_idle_per_config` bounds how many returned Runtimes are retained
-  /// per config for reuse; surplus returns are destroyed (the pool never
-  /// bounds *checkouts* — a burst of callers simply builds fresh Runtimes).
-  explicit RuntimePool(const FpgaSpec& spec, int max_idle_per_config = 16);
+  /// Up to kMaxIdlePerConfig returned Runtimes are retained per config for
+  /// reuse; surplus returns are destroyed (the pool never bounds
+  /// *checkouts* — a burst of callers simply builds fresh Runtimes).
+  explicit RuntimePool(const FpgaSpec& spec) : spec_(spec) {}
 
   RuntimePool(const RuntimePool&) = delete;
   RuntimePool& operator=(const RuntimePool&) = delete;
@@ -88,8 +88,9 @@ class RuntimePool {
     }
   };
 
+  static constexpr int kMaxIdlePerConfig = 16;
+
   FpgaSpec spec_;
-  int max_idle_per_config_;
   mutable std::mutex mu_;
   std::unordered_map<AccelConfig, std::vector<std::unique_ptr<Runtime>>,
                      ConfigHash>

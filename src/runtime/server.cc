@@ -9,43 +9,6 @@
 
 namespace hdnn {
 
-int PickReadyQueue(const std::vector<bool>& ready,
-                   const std::vector<double>& weights,
-                   std::vector<double>& credits, std::size_t scan_start) {
-  const std::size_t n = ready.size();
-  HDNN_CHECK(weights.size() == n && credits.size() == n)
-      << "policy state size mismatch: " << n << " queues, " << weights.size()
-      << " weights, " << credits.size() << " credits";
-  if (n == 0) return -1;
-  bool any_ready = false;
-  bool uniform = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    any_ready = any_ready || ready[i];
-    uniform = uniform && weights[i] == weights[0];
-  }
-  if (!any_ready) return -1;
-  if (uniform) {
-    // Legacy rotation: first ready queue at or after scan_start.
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t idx = (scan_start + k) % n;
-      if (ready[idx]) return static_cast<int>(idx);
-    }
-  }
-  // Smooth weighted round-robin over the ready set. Strict > keeps the
-  // earliest rotation position on credit ties.
-  double issued = 0;
-  std::size_t best = n;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t idx = (scan_start + k) % n;
-    if (!ready[idx]) continue;
-    credits[idx] += weights[idx];
-    issued += weights[idx];
-    if (best == n || credits[idx] > credits[best]) best = idx;
-  }
-  credits[best] -= issued;
-  return static_cast<int>(best);
-}
-
 InferenceServer::InferenceServer(InferenceEngine& engine,
                                  const ServerOptions& options)
     : engine_(engine),
@@ -103,10 +66,7 @@ InferenceServer::ModelState& InferenceServer::state(
 
 ModelHandle InferenceServer::RegisterModel(
     const Model& model, const AccelConfig& cfg,
-    const std::vector<LayerMapping>& mapping, const ModelWeightsQ& weights,
-    double priority_weight) {
-  HDNN_CHECK(priority_weight > 0)
-      << "priority_weight must be positive, got " << priority_weight;
+    const std::vector<LayerMapping>& mapping, const ModelWeightsQ& weights) {
   auto ms = std::make_unique<ModelState>(Queue(
       options_.max_queue_depth, options_.max_batch,
       options_.max_queue_delay_seconds));
@@ -125,13 +85,8 @@ ModelHandle InferenceServer::RegisterModel(
                                              /*functional=*/false);
     ms->device_seconds = profile.seconds;
   }
-  // Lock order sched_mu_ -> models_mu_: the scan-policy vectors must grow in
-  // step with models_, and workers read both only under sched_mu_.
-  std::lock_guard<std::mutex> sched_lock(sched_mu_);
   std::lock_guard<std::mutex> lock(models_mu_);
   models_.push_back(std::move(ms));
-  scan_weights_.push_back(priority_weight);
-  scan_credits_.push_back(0);
   return static_cast<ModelHandle>(models_.size() - 1);
 }
 
@@ -207,45 +162,42 @@ void InferenceServer::WorkerLoop() {
     std::vector<Queue::Entry> expired;
     std::int64_t batch_seq = -1;
 
-    // Snapshot the model list (handles are stable; the vector only grows,
-    // and only under sched_mu_, which we hold — so n is exact).
-    const std::size_t n = scan_weights_.size();
-    std::vector<ModelState*> states(n);
+    // Snapshot the model list (handles are stable; the vector only grows).
+    std::vector<ModelState*> states;
     {
       std::lock_guard<std::mutex> models_lock(models_mu_);
-      for (std::size_t i = 0; i < n; ++i) states[i] = models_[i].get();
+      states.reserve(models_.size());
+      for (const auto& ms : models_) states.push_back(ms.get());
     }
-    // Pass 1: which queues are ready? On Stop the batcher flushes: any
-    // non-empty queue counts as ready without its size/timeout trigger.
-    std::vector<bool> ready(n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::lock_guard<std::mutex> queue_lock(states[i]->mu);
-      if (states[i]->queue.DispatchReady(now) ||
-          (stop_ && !states[i]->queue.empty())) {
-        ready[i] = true;
-      } else {
+    // Serve the first ready queue at or after scan_start_ (round-robin
+    // across models). On Stop the batcher flushes: any non-empty queue
+    // counts as ready without its size/timeout trigger. Queue state cannot
+    // change mid-scan — every admission takes sched_mu_, which this worker
+    // holds.
+    const std::size_t n = states.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t idx = (scan_start_ + k) % n;
+      ModelState& candidate = *states[idx];
+      std::lock_guard<std::mutex> queue_lock(candidate.mu);
+      const bool ready = candidate.queue.DispatchReady(now) ||
+                         (stop_ && !candidate.queue.empty());
+      if (!ready) {
         earliest_trigger =
-            std::min(earliest_trigger, states[i]->queue.NextTriggerTime());
+            std::min(earliest_trigger, candidate.queue.NextTriggerTime());
+        continue;
       }
-    }
-    // Pass 2: the weighted pick. Queue state cannot change between the
-    // passes — every admission takes sched_mu_, which this worker holds.
-    const int picked =
-        PickReadyQueue(ready, scan_weights_, scan_credits_, scan_start_);
-    if (picked >= 0) {
-      ModelState* candidate = states[static_cast<std::size_t>(picked)];
-      std::lock_guard<std::mutex> queue_lock(candidate->mu);
-      candidate->queue.SweepExpired(now, expired);
-      candidate->stats.expired += static_cast<std::int64_t>(expired.size());
-      batch = candidate->queue.TakeBatch();
+      candidate.queue.SweepExpired(now, expired);
+      candidate.stats.expired += static_cast<std::int64_t>(expired.size());
+      batch = candidate.queue.TakeBatch();
       if (!batch.empty()) {
-        batch_seq = candidate->batch_seq++;
-        ++candidate->stats.batches;
-        candidate->stats.batched_items +=
+        batch_seq = candidate.batch_seq++;
+        ++candidate.stats.batches;
+        candidate.stats.batched_items +=
             static_cast<std::int64_t>(batch.size());
-        pick = candidate;
-        scan_start_ = (static_cast<std::size_t>(picked) + 1) % n;
+        pick = &candidate;
+        scan_start_ = (idx + 1) % n;
       }
+      break;
     }
 
     if (pick != nullptr || !expired.empty()) {
@@ -277,79 +229,65 @@ void InferenceServer::RunBatch(ModelState& ms,
                                std::vector<Queue::Entry> batch,
                                double dispatch_s, std::int64_t batch_seq) {
   const int batch_size = static_cast<int>(batch.size());
-  // Count each success before its future resolves: a client that observes
-  // fut.get() must also observe the matching stats increment.
-  const auto count_ok = [&ms] {
-    std::lock_guard<std::mutex> lock(ms.mu);
-    ++ms.stats.ok;
-  };
-
-  if (options_.mode == ExecMode::kDevicePaced) {
-    // One worker == one modeled accelerator instance: completions pace on
-    // the profiled device latency, back to back within the batch.
-    for (int k = 0; k < batch_size; ++k) {
-      SleepUntil(dispatch_s + (k + 1) * ms.device_seconds);
-      // Report actual wall time: when the host falls behind the modeled
-      // pace (scheduler jitter, CPU contention) the oversleep is real
-      // serving latency and must show up in the tail, not be idealized
-      // away.
-      const double completion_s = Now();
+  RuntimePool::Lease lease;
+  if (options_.mode == ExecMode::kFunctional) {
+    lease = engine_.runtime_pool().Checkout(ms.cfg);
+    lease->set_integrity_check(options_.integrity_check);
+  }
+  for (int k = 0; k < batch_size; ++k) {
+    try {
       ItemReport report;
-      report.outcome = ServeOutcome::kOk;
+      int retried = 0;
+      if (options_.mode == ExecMode::kDevicePaced) {
+        // One worker == one modeled accelerator instance: completions pace
+        // on the profiled device latency, back to back within the batch.
+        // The report carries actual wall time: when the host falls behind
+        // the modeled pace (scheduler jitter, CPU contention) the oversleep
+        // is real serving latency and must show up in the tail, not be
+        // idealized away.
+        SleepUntil(dispatch_s + (k + 1) * ms.device_seconds);
+        report.outcome = ServeOutcome::kOk;
+        report.run.seconds = ms.device_seconds;
+      } else {
+        report.outcome =
+            ExecuteItem(ms, *lease, batch[k].value.input, report.run, retried);
+      }
+      const double completion_s = Now();
       report.queue_seconds = dispatch_s - batch[k].enqueue_s;
       report.service_seconds = completion_s - dispatch_s;
       report.total_seconds = completion_s - batch[k].enqueue_s;
       report.batch_size = batch_size;
       report.batch_seq = batch_seq;
       report.device_seconds = ms.device_seconds;
-      report.run.seconds = ms.device_seconds;
-      count_ok();
-      batch[k].value.promise.set_value(std::move(report));
-    }
-  } else {
-    RuntimePool::Lease lease = engine_.runtime_pool().Checkout(ms.cfg);
-    lease->set_integrity_check(options_.integrity_check);
-    for (int k = 0; k < batch_size; ++k) {
-      try {
-        RunReport run;
-        bool executed = false;
-        // Integrity self-healing: an IntegrityError means the output slab
-        // was corrupted between SAVE and collection — the result was never
-        // served, and inference is pure, so re-executing in place is safe.
-        for (int attempt = 0;; ++attempt) {
-          try {
-            run = lease->Execute(
-                ms.model, *ms.compiled, ms.weights, batch[k].value.input,
-                /*functional=*/options_.mode == ExecMode::kFunctional);
-            executed = true;
-            break;
-          } catch (const IntegrityError&) {
-            if (attempt >= options_.max_execute_retries) break;
-            std::lock_guard<std::mutex> lock(ms.mu);
-            ++ms.stats.retried;
-          }
-        }
-        const double completion_s = Now();
-        ItemReport report;
-        report.outcome =
-            executed ? ServeOutcome::kOk : ServeOutcome::kFailed;
-        report.queue_seconds = dispatch_s - batch[k].enqueue_s;
-        report.service_seconds = completion_s - dispatch_s;
-        report.total_seconds = completion_s - batch[k].enqueue_s;
-        report.batch_size = batch_size;
-        report.batch_seq = batch_seq;
-        report.device_seconds = ms.device_seconds;
-        report.run = std::move(run);
-        if (executed) {
-          count_ok();
+      {
+        // Count before the future resolves: a client that observes
+        // fut.get() must also observe the matching stats increment.
+        std::lock_guard<std::mutex> lock(ms.mu);
+        ms.stats.retried += retried;
+        if (report.outcome == ServeOutcome::kOk) {
+          ++ms.stats.ok;
         } else {
-          std::lock_guard<std::mutex> lock(ms.mu);
           ++ms.stats.failed;
         }
-        batch[k].value.promise.set_value(std::move(report));
-      } catch (...) {
-        batch[k].value.promise.set_exception(std::current_exception());
       }
+      batch[k].value.promise.set_value(std::move(report));
+    } catch (...) {
+      batch[k].value.promise.set_exception(std::current_exception());
+    }
+  }
+}
+
+ServeOutcome InferenceServer::ExecuteItem(const ModelState& ms,
+                                          Runtime& runtime,
+                                          const Tensor<std::int16_t>& input,
+                                          RunReport& run, int& retried) const {
+  for (int attempt = 0;; ++attempt) {
+    try {
+      run = runtime.Execute(ms.model, *ms.compiled, ms.weights, input);
+      return ServeOutcome::kOk;
+    } catch (const IntegrityError&) {
+      if (attempt >= options_.max_execute_retries) return ServeOutcome::kFailed;
+      ++retried;
     }
   }
 }
@@ -384,7 +322,7 @@ InferenceServer::TraceReport InferenceServer::ServeTrace(
   out.items.resize(trace.size());
 
   RuntimePool::Lease lease;
-  if (options_.mode != ExecMode::kDevicePaced) {
+  if (options_.mode == ExecMode::kFunctional) {
     lease = engine_.runtime_pool().Checkout(ms.cfg);
     lease->set_integrity_check(options_.integrity_check);
   }
@@ -464,7 +402,6 @@ InferenceServer::TraceReport InferenceServer::ServeTrace(
           now + static_cast<double>(k + 1) * ms.device_seconds;
       ItemReport& r =
           out.items[static_cast<std::size_t>(batch[k].value.trace_index)];
-      r.outcome = ServeOutcome::kOk;
       r.queue_seconds = now - batch[k].enqueue_s;
       r.service_seconds = completion_s - now;
       r.total_seconds = completion_s - batch[k].enqueue_s;
@@ -472,14 +409,15 @@ InferenceServer::TraceReport InferenceServer::ServeTrace(
       r.batch_seq = batch_seq;
       r.device_seconds = ms.device_seconds;
       if (options_.mode == ExecMode::kDevicePaced) {
+        r.outcome = ServeOutcome::kOk;
         r.run.seconds = ms.device_seconds;
       } else {
         const TraceArrival& a =
             trace[static_cast<std::size_t>(batch[k].value.trace_index)];
-        r.run = lease->Execute(
-            ms.model, *ms.compiled, ms.weights,
-            inputs[static_cast<std::size_t>(a.input_index)],
-            /*functional=*/options_.mode == ExecMode::kFunctional);
+        int retried = 0;  // the trace leaves stats() alone
+        r.outcome = ExecuteItem(ms, *lease,
+                                inputs[static_cast<std::size_t>(a.input_index)],
+                                r.run, retried);
       }
     }
     drainer_free =

@@ -17,7 +17,6 @@
 //     bit-identical to a sequential Runtime::Execute of the same input:
 //     each item is one Execute on a pooled Runtime, and Runtime reuse is
 //     bit-invisible (DESIGN.md Sec. 4).
-//   * kTimingOnly  — cycle simulation per item, no arithmetic or outputs.
 //   * kDevicePaced — hardware-in-the-loop emulation for load testing: the
 //     per-item modeled accelerator latency is profiled once per registered
 //     model (deterministic — simulated time is input-independent), and
@@ -72,7 +71,7 @@ struct ItemReport {
   RunReport run;               ///< full report (+output) outside kDevicePaced
 };
 
-enum class ExecMode { kFunctional, kTimingOnly, kDevicePaced };
+enum class ExecMode { kFunctional, kDevicePaced };
 
 struct ServerOptions {
   int num_workers = 1;
@@ -85,11 +84,12 @@ struct ServerOptions {
   int max_queue_depth = 64;
   ExecMode mode = ExecMode::kFunctional;
   /// Verify the CRC32 integrity tag of every functional output at
-  /// collection (Runtime::set_integrity_check). An IntegrityError is
-  /// retried in place up to `max_execute_retries` times (inference is pure,
-  /// so re-execution is side-effect free); a request still failing resolves
-  /// with kFailed instead of serving corrupted data. Off by default — the
-  /// disabled path is behavior-identical to the pre-integrity server.
+  /// collection (Runtime::set_integrity_check), live and in ServeTrace. An
+  /// IntegrityError is retried in place up to `max_execute_retries` times
+  /// (inference is pure, so re-execution is side-effect free); a request
+  /// still failing resolves with kFailed instead of serving corrupted data.
+  /// Off by default — the disabled path is behavior-identical to the
+  /// pre-integrity server.
   bool integrity_check = false;
   int max_execute_retries = 1;
 };
@@ -119,23 +119,6 @@ struct ServerStats {
 
 using ModelHandle = int;
 
-/// Drain-scan pick: which ready queue does a worker serve next?
-///
-/// With uniform weights this is the legacy rotation — the first ready queue
-/// at or after `scan_start` — so default-weighted servers behave exactly as
-/// before. With non-uniform weights it is smooth weighted round-robin over
-/// the READY set: every ready queue earns `weight` credits, the
-/// highest-credit queue wins (ties break in rotation order from
-/// `scan_start`) and pays back the credits issued this round, so
-/// continuously-backlogged queues are served in proportion to their weights
-/// while an idle queue never accumulates an unbounded burst claim.
-/// `credits` is the policy's persistent state (one slot per queue); the
-/// function is deterministic in (ready, weights, credits, scan_start).
-/// Returns -1 when nothing is ready.
-int PickReadyQueue(const std::vector<bool>& ready,
-                   const std::vector<double>& weights,
-                   std::vector<double>& credits, std::size_t scan_start);
-
 class InferenceServer {
  public:
   /// Spawns `options.num_workers` persistent drainer threads. The engine
@@ -151,13 +134,10 @@ class InferenceServer {
 
   /// Compiles (or cache-hits) the deployment, profiles its deterministic
   /// per-item modeled device latency, and creates its serving queue.
-  /// `priority_weight` (> 0) sets this model's share of the drain scan
-  /// relative to the other registered models (see PickReadyQueue); the
-  /// default 1.0 for every model preserves the legacy round-robin.
+  /// Workers drain the registered models' queues round-robin.
   ModelHandle RegisterModel(const Model& model, const AccelConfig& cfg,
                             const std::vector<LayerMapping>& mapping,
-                            const ModelWeightsQ& weights,
-                            double priority_weight = 1.0);
+                            const ModelWeightsQ& weights);
 
   /// Enqueues one request. `deadline_seconds` is a relative budget from
   /// now (kNoDeadline = none); a request that cannot start by its deadline
@@ -194,9 +174,11 @@ class InferenceServer {
   /// virtual-time simulation of this server's batching/admission policy.
   /// Service time is the model's profiled device latency per item; in
   /// kFunctional mode every executed item also runs the real simulator, so
-  /// outputs are bit-identical to sequential execution. Ties between an
-  /// arrival and a dispatch at the same instant dispatch first (the
-  /// arrival joins the next batch). Does not touch the live queues.
+  /// outputs are bit-identical to sequential execution, and an integrity
+  /// failure retries like the live path (an item out of retries resolves
+  /// kFailed and the trace goes on). Ties between an arrival and a dispatch
+  /// at the same instant dispatch first (the arrival joins the next batch).
+  /// Does not touch the live queues or stats().
   TraceReport ServeTrace(ModelHandle handle,
                          std::span<const Tensor<std::int16_t>> inputs,
                          std::span<const TraceArrival> trace);
@@ -233,6 +215,15 @@ class InferenceServer {
   /// Executes one dispatched batch outside all locks and resolves futures.
   void RunBatch(ModelState& ms, std::vector<Queue::Entry> batch,
                 double dispatch_s, std::int64_t batch_seq);
+  /// One functional execution with integrity self-healing: an
+  /// IntegrityError means the output slab was corrupted between SAVE and
+  /// collection — the result was never served, and inference is pure, so
+  /// the item re-executes in place up to max_execute_retries times. Returns
+  /// kOk with `run` filled, or kFailed once the retries run out; `retried`
+  /// counts the re-executions.
+  ServeOutcome ExecuteItem(const ModelState& ms, Runtime& runtime,
+                           const Tensor<std::int16_t>& input, RunReport& run,
+                           int& retried) const;
   static void ResolveShed(Queue::Entry entry, ServeOutcome outcome,
                           double now);
 
@@ -249,10 +240,6 @@ class InferenceServer {
   std::condition_variable sched_cv_;
   bool stop_ = false;
   std::size_t scan_start_ = 0;  ///< rotation origin of the drain scan
-  /// Per-model drain-scan policy state (parallel to models_; grows only
-  /// under sched_mu_, which RegisterModel takes before models_mu_).
-  std::vector<double> scan_weights_;
-  std::vector<double> scan_credits_;
 
   std::vector<std::thread> workers_;
 };

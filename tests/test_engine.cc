@@ -282,10 +282,11 @@ TEST(InferenceEngineTest, EmptyBatchIsANoOp) {
 // the base entry.
 TEST(InferenceEngineTest, CacheKeyCoversEveryAccelConfigField) {
   // Compile-time tripwire: if AccelConfig grows a field, this sizeof
-  // changes — update CacheKeyHash in engine.cc AND the mutation list below,
-  // then adjust the expected size.
+  // changes — update AccelConfigHashValue in runtime_pool.cc (which
+  // CacheKeyHash mixes in) AND the mutation list below, then adjust the
+  // expected size.
   static_assert(sizeof(AccelConfig) == 9 * sizeof(int),
-                "AccelConfig changed: audit InferenceEngine::CacheKeyHash "
+                "AccelConfig changed: audit AccelConfigHashValue "
                 "and this test's mutation list");
 
   const Model model = BuildTinyCnn();

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <future>
 #include <set>
 #include <vector>
 
@@ -13,13 +13,12 @@
 #include "fleet/portfolio.h"
 #include "fleet/router.h"
 #include "nn/builders.h"
-#include "runtime/engine.h"
+#include "runtime/runtime.h"
 #include "tests/testing_util.h"
 
 namespace hdnn {
 namespace {
 
-using testing::MakeInput;
 using testing::TestConfig;
 using testing::TestSpec;
 
@@ -260,6 +259,62 @@ TEST(PortfolioTest, NaiveBestCandidateNeedsAllClassesAndBreaksTiesByPower) {
   EXPECT_EQ(NaiveBestCandidate(cands, classes), 2);
   const std::vector<LatencyClass> impossible{MakeClass("c", 0, 1.0, 1e-9)};
   EXPECT_THROW(NaiveBestCandidate(cands, impossible), InvalidArgument);
+}
+
+// --- weighted drain scan ---
+
+TEST(PickReadyQueueTest, UniformWeightsMatchLegacyRotation) {
+  const std::vector<double> weights(3, 1.0);
+  std::vector<double> credits(3, 0.0);
+  const std::vector<bool> ready{true, false, true};
+
+  EXPECT_EQ(PickReadyQueue(ready, weights, credits, /*scan_start=*/0), 0);
+  EXPECT_EQ(PickReadyQueue(ready, weights, credits, /*scan_start=*/1), 2);
+  EXPECT_EQ(PickReadyQueue(ready, weights, credits, /*scan_start=*/2), 2);
+  // The uniform path must not accumulate credit state.
+  for (double c : credits) EXPECT_EQ(c, 0.0);
+
+  const std::vector<bool> none(3, false);
+  EXPECT_EQ(PickReadyQueue(none, weights, credits, 0), -1);
+}
+
+TEST(PickReadyQueueTest, WeightedSharesOverBackloggedQueues) {
+  // Two always-ready queues at 3:1 must be drained 3:1 over any window,
+  // with the smooth round-robin never letting either starve.
+  const std::vector<double> weights{3.0, 1.0};
+  std::vector<double> credits(2, 0.0);
+  const std::vector<bool> ready{true, true};
+  int picks[2] = {0, 0};
+  int longest_starve = 0, since_q1 = 0;
+  for (int i = 0; i < 400; ++i) {
+    const int p = PickReadyQueue(ready, weights, credits, 0);
+    ASSERT_TRUE(p == 0 || p == 1);
+    ++picks[p];
+    since_q1 = p == 1 ? 0 : since_q1 + 1;
+    longest_starve = std::max(longest_starve, since_q1);
+  }
+  EXPECT_EQ(picks[0], 300);
+  EXPECT_EQ(picks[1], 100);
+  EXPECT_LE(longest_starve, 3) << "smooth WRR interleaves, not bursts";
+}
+
+TEST(PickReadyQueueTest, DeterministicInStateAndBreaksTiesByRotation) {
+  const std::vector<double> weights{2.0, 1.0, 2.0};
+  const std::vector<bool> ready(3, true);
+  std::vector<double> a(3, 0.0), b(3, 0.0);
+  for (std::size_t start = 0; start < 3; ++start) {
+    for (int i = 0; i < 50; ++i) {
+      EXPECT_EQ(PickReadyQueue(ready, weights, a, start),
+                PickReadyQueue(ready, weights, b, start));
+    }
+    EXPECT_EQ(a, b);
+  }
+  // Fresh credits, queues 0 and 2 tied at weight 2: the earliest rotation
+  // position from scan_start wins the tie.
+  std::vector<double> credits(3, 0.0);
+  EXPECT_EQ(PickReadyQueue(ready, weights, credits, /*scan_start=*/2), 2);
+  credits.assign(3, 0.0);
+  EXPECT_EQ(PickReadyQueue(ready, weights, credits, /*scan_start=*/0), 0);
 }
 
 // --- virtual-time fleet simulation ---
@@ -964,178 +1019,6 @@ TEST(FleetChaosSimTest, BenchScenariosReplayDetectAndRecover) {
   const RunReport retry = rt.Execute(model, cm, weights, input);
   EXPECT_EQ(retry.output, golden.output);
   EXPECT_EQ(retry.output_crc32, golden.output_crc32);
-}
-
-// --- live fleet ---
-
-TEST(FleetLiveTest, FunctionalServingMatchesSequentialAndSharesEngines) {
-  Model model = BuildTinyCnn();
-  const AccelConfig cfg = TestConfig();
-  std::vector<LayerMapping> mapping(
-      static_cast<std::size_t>(model.num_layers()),
-      LayerMapping{ConvMode::kSpatial, Dataflow::kInputStationary});
-  ModelWeightsQ weights = SyntheticWeights(model, 7);
-
-  BoardCandidate cand = MakeCandidate("test", 2, 10.0, {0.001});
-  cand.config = cfg;
-  cand.config.ni = 2;
-  cand.mappings = {mapping};
-  const std::vector<LatencyClass> classes{MakeClass("c", 0, 100.0)};
-
-  FleetOptions opts;
-  opts.max_batch = 4;
-  opts.max_queue_delay_seconds = 0;
-  Fleet fleet({cand}, {0, 0}, classes, {&model}, {&weights}, opts,
-              ExecMode::kFunctional);
-  ASSERT_EQ(fleet.num_shards(), 2);
-
-  constexpr int kItems = 16;
-  InferenceEngine golden_engine(TestSpec(), 1);
-  std::vector<std::future<ItemReport>> futures;
-  std::vector<Tensor<std::int16_t>> inputs;
-  for (int i = 0; i < kItems; ++i) {
-    inputs.push_back(
-        MakeInput(model.InputOf(0), 100 + static_cast<std::uint64_t>(i)));
-    futures.push_back(fleet.Submit(0, inputs.back()));
-  }
-  const BatchReport golden = golden_engine.ExecuteBatch(
-      model, cand.config, mapping, weights, inputs, /*functional=*/true);
-  for (int i = 0; i < kItems; ++i) {
-    const ItemReport r = futures[static_cast<std::size_t>(i)].get();
-    ASSERT_EQ(r.outcome, ServeOutcome::kOk) << "item " << i;
-    EXPECT_EQ(r.run.output, golden.items[static_cast<std::size_t>(i)].output)
-        << "item " << i;
-  }
-  fleet.Stop();
-
-  EXPECT_EQ(fleet.routed(), kItems);
-  const ServerStats cs = fleet.class_stats(0);
-  EXPECT_EQ(cs.submitted, kItems);
-  EXPECT_EQ(cs.ok, kItems);
-  const ServerStats s0 = fleet.shard_stats(0);
-  const ServerStats s1 = fleet.shard_stats(1);
-  EXPECT_EQ(s0.submitted + s1.submitted, kItems);
-  // Both shards share one engine (and its program cache): the model
-  // compiles once for shard 0 and cache-hits for shard 1.
-  EXPECT_GE(fleet.engine("test").cache_hits(), 1);
-}
-
-TEST(FleetLiveTest, SubmitHedgedServesOnceAndMatchesSequential) {
-  Model model = BuildTinyCnn();
-  const AccelConfig cfg = TestConfig();
-  std::vector<LayerMapping> mapping(
-      static_cast<std::size_t>(model.num_layers()),
-      LayerMapping{ConvMode::kSpatial, Dataflow::kInputStationary});
-  ModelWeightsQ weights = SyntheticWeights(model, 7);
-  BoardCandidate cand = MakeCandidate("test", 1, 10.0, {0.001});
-  cand.config = cfg;
-  cand.mappings = {mapping};
-  const std::vector<LatencyClass> classes{MakeClass("c", 0, 100.0)};
-  FleetOptions opts;
-  opts.max_queue_delay_seconds = 0;
-  opts.router.choices = 0;  // full scan: a backup shard always exists
-  Fleet fleet({cand}, {0, 0}, classes, {&model}, {&weights}, opts,
-              ExecMode::kFunctional);
-
-  constexpr int kItems = 8;
-  InferenceEngine golden_engine(TestSpec(), 1);
-  std::vector<std::future<ItemReport>> futures;
-  std::vector<Tensor<std::int16_t>> inputs;
-  for (int i = 0; i < kItems; ++i) {
-    inputs.push_back(
-        MakeInput(model.InputOf(0), 300 + static_cast<std::uint64_t>(i)));
-    futures.push_back(fleet.SubmitHedged(0, inputs.back()));
-  }
-  const BatchReport golden = golden_engine.ExecuteBatch(
-      model, cand.config, mapping, weights, inputs, /*functional=*/true);
-  for (int i = 0; i < kItems; ++i) {
-    const ItemReport r = futures[static_cast<std::size_t>(i)].get();
-    ASSERT_EQ(r.outcome, ServeOutcome::kOk) << "item " << i;
-    EXPECT_EQ(r.run.output, golden.items[static_cast<std::size_t>(i)].output)
-        << "hedged result must equal the sequential golden (purity)";
-  }
-  fleet.Stop();
-  // Duplicates executed on the backup shard do not double-count serves seen
-  // by clients: each future resolved exactly once with one report.
-  EXPECT_GE(fleet.class_stats(0).submitted, kItems)
-      << "hedge copies add submissions beyond the client's";
-}
-
-TEST(FleetLiveTest, ManualHealthMaskExcludesShardFromRouting) {
-  Model model = BuildTinyCnn();
-  std::vector<LayerMapping> mapping(
-      static_cast<std::size_t>(model.num_layers()),
-      LayerMapping{ConvMode::kSpatial, Dataflow::kInputStationary});
-  ModelWeightsQ weights = SyntheticWeights(model, 7);
-  BoardCandidate cand = MakeCandidate("test", 1, 10.0, {0.001});
-  cand.config = TestConfig();
-  cand.mappings = {mapping};
-  const std::vector<LatencyClass> classes{MakeClass("c", 0, 100.0)};
-  FleetOptions opts;
-  opts.max_queue_delay_seconds = 0;
-  Fleet fleet({cand}, {0, 0}, classes, {&model}, {&weights}, opts,
-              ExecMode::kFunctional);
-  ASSERT_TRUE(fleet.shard_routable(0));
-  fleet.SetShardHealth(0, false);
-  EXPECT_FALSE(fleet.shard_routable(0));
-
-  // With shard 0 masked, every submit lands on shard 1.
-  std::vector<std::future<ItemReport>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(fleet.Submit(
-        0, MakeInput(model.InputOf(0), 400 + static_cast<std::uint64_t>(i))));
-  }
-  for (auto& f : futures) EXPECT_EQ(f.get().outcome, ServeOutcome::kOk);
-  EXPECT_EQ(fleet.shard_stats(0).submitted, 0);
-  EXPECT_EQ(fleet.shard_stats(1).submitted, 4);
-
-  // Masking everything fails fast instead of hanging.
-  fleet.SetShardHealth(1, false);
-  EXPECT_EQ(fleet.Submit(0, MakeInput(model.InputOf(0), 500)).get().outcome,
-            ServeOutcome::kRejected);
-  fleet.SetShardHealth(0, true);
-  EXPECT_TRUE(fleet.shard_routable(0));
-  EXPECT_EQ(fleet.Submit(0, MakeInput(model.InputOf(0), 501)).get().outcome,
-            ServeOutcome::kOk);
-  fleet.Stop();
-}
-
-TEST(FleetLiveTest, StopResolvesOutstandingHedgedFutures) {
-  // Regression: every future handed out — including hedged pairs still
-  // queued or in flight — must resolve with a terminal status once Stop()
-  // returns. A hang here is the bug this test exists to catch.
-  Model model = BuildTinyCnn();
-  std::vector<LayerMapping> mapping(
-      static_cast<std::size_t>(model.num_layers()),
-      LayerMapping{ConvMode::kSpatial, Dataflow::kInputStationary});
-  ModelWeightsQ weights = SyntheticWeights(model, 7);
-  BoardCandidate cand = MakeCandidate("test", 1, 10.0, {0.001});
-  cand.config = TestConfig();
-  cand.mappings = {mapping};
-  const std::vector<LatencyClass> classes{MakeClass("c", 0, 100.0)};
-  FleetOptions opts;
-  opts.max_queue_delay_seconds = 0;
-  opts.router.choices = 0;
-  Fleet fleet({cand}, {0, 0}, classes, {&model}, {&weights}, opts,
-              ExecMode::kFunctional);
-
-  std::vector<std::future<ItemReport>> futures;
-  for (int i = 0; i < 12; ++i) {
-    futures.push_back(fleet.SubmitHedged(
-        0, MakeInput(model.InputOf(0), 600 + static_cast<std::uint64_t>(i))));
-  }
-  fleet.Stop();  // drains queues and joins workers
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(30)),
-              std::future_status::ready)
-        << "future " << i << " did not resolve after Stop()";
-    const ItemReport r = futures[i].get();
-    EXPECT_TRUE(r.outcome == ServeOutcome::kOk ||
-                r.outcome == ServeOutcome::kRejected ||
-                r.outcome == ServeOutcome::kExpired ||
-                r.outcome == ServeOutcome::kFailed)
-        << "future " << i << " resolved without a terminal status";
-  }
 }
 
 }  // namespace

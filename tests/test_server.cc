@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -218,62 +217,6 @@ TEST(DeadlineQueueTest, ShedCountersAreExactAndMonotonic) {
   (void)q.TakeBatch();
   EXPECT_EQ(q.EvictedCount(), 1);
   EXPECT_EQ(q.ExpiredCount(), 3);
-}
-
-// --- weighted drain scan ---
-
-TEST(PickReadyQueueTest, UniformWeightsMatchLegacyRotation) {
-  const std::vector<double> weights(3, 1.0);
-  std::vector<double> credits(3, 0.0);
-  const std::vector<bool> ready{true, false, true};
-
-  EXPECT_EQ(PickReadyQueue(ready, weights, credits, /*scan_start=*/0), 0);
-  EXPECT_EQ(PickReadyQueue(ready, weights, credits, /*scan_start=*/1), 2);
-  EXPECT_EQ(PickReadyQueue(ready, weights, credits, /*scan_start=*/2), 2);
-  // The uniform path must not accumulate credit state.
-  for (double c : credits) EXPECT_EQ(c, 0.0);
-
-  const std::vector<bool> none(3, false);
-  EXPECT_EQ(PickReadyQueue(none, weights, credits, 0), -1);
-}
-
-TEST(PickReadyQueueTest, WeightedSharesOverBackloggedQueues) {
-  // Two always-ready queues at 3:1 must be drained 3:1 over any window,
-  // with the smooth round-robin never letting either starve.
-  const std::vector<double> weights{3.0, 1.0};
-  std::vector<double> credits(2, 0.0);
-  const std::vector<bool> ready{true, true};
-  int picks[2] = {0, 0};
-  int longest_starve = 0, since_q1 = 0;
-  for (int i = 0; i < 400; ++i) {
-    const int p = PickReadyQueue(ready, weights, credits, 0);
-    ASSERT_TRUE(p == 0 || p == 1);
-    ++picks[p];
-    since_q1 = p == 1 ? 0 : since_q1 + 1;
-    longest_starve = std::max(longest_starve, since_q1);
-  }
-  EXPECT_EQ(picks[0], 300);
-  EXPECT_EQ(picks[1], 100);
-  EXPECT_LE(longest_starve, 3) << "smooth WRR interleaves, not bursts";
-}
-
-TEST(PickReadyQueueTest, DeterministicInStateAndBreaksTiesByRotation) {
-  const std::vector<double> weights{2.0, 1.0, 2.0};
-  const std::vector<bool> ready(3, true);
-  std::vector<double> a(3, 0.0), b(3, 0.0);
-  for (std::size_t start = 0; start < 3; ++start) {
-    for (int i = 0; i < 50; ++i) {
-      EXPECT_EQ(PickReadyQueue(ready, weights, a, start),
-                PickReadyQueue(ready, weights, b, start));
-    }
-    EXPECT_EQ(a, b);
-  }
-  // Fresh credits, queues 0 and 2 tied at weight 2: the earliest rotation
-  // position from scan_start wins the tie.
-  std::vector<double> credits(3, 0.0);
-  EXPECT_EQ(PickReadyQueue(ready, weights, credits, /*scan_start=*/2), 2);
-  credits.assign(3, 0.0);
-  EXPECT_EQ(PickReadyQueue(ready, weights, credits, /*scan_start=*/0), 0);
 }
 
 // --- server fixture ---
@@ -715,6 +658,18 @@ TEST(InferenceServerTest, IntegrityRetryRecoversFromInjectedCorruption) {
   EXPECT_EQ(stats.ok, 1);
   EXPECT_EQ(stats.retried, 1);
   EXPECT_EQ(stats.failed, 0);
+
+  // ServeTrace retries the same way. Stop joins the worker, so its runtime
+  // is back in the pool to be re-armed; one arrival replays the fault.
+  server.Stop();
+  ArmIdleRuntimes(f.engine.runtime_pool(), f.cfg,
+                  {threshold, slab_base, 0x0001});
+  const std::vector<Tensor<std::int16_t>> inputs{input};
+  const std::vector<InferenceServer::TraceArrival> trace{{0.0, 0}};
+  const auto replay = server.ServeTrace(h, inputs, trace);
+  ASSERT_EQ(replay.items[0].outcome, ServeOutcome::kOk);
+  EXPECT_EQ(replay.items[0].run.output, golden.output);
+  EXPECT_EQ(server.stats(h).retried, 1) << "ServeTrace leaves stats() alone";
 }
 
 TEST(InferenceServerTest, IntegrityFailureWithoutRetryBudgetFailsClosed) {
@@ -757,6 +712,19 @@ TEST(InferenceServerTest, IntegrityFailureWithoutRetryBudgetFailsClosed) {
   const ItemReport clean = server.Submit(h, input).get();
   ASSERT_EQ(clean.outcome, ServeOutcome::kOk);
   EXPECT_EQ(clean.run.output, golden.output);
+
+  // ServeTrace fails the corrupted item closed and the trace goes on: the
+  // second arrival runs on the same, now clean, runtime.
+  server.Stop();
+  ArmIdleRuntimes(f.engine.runtime_pool(), f.cfg,
+                  {threshold, slab_base, 0x0001});
+  const std::vector<Tensor<std::int16_t>> inputs{input};
+  const std::vector<InferenceServer::TraceArrival> trace{{0.0, 0}, {0.0, 0}};
+  const auto replay = server.ServeTrace(h, inputs, trace);
+  EXPECT_EQ(replay.items[0].outcome, ServeOutcome::kFailed);
+  ASSERT_EQ(replay.items[1].outcome, ServeOutcome::kOk);
+  EXPECT_EQ(replay.items[1].run.output, golden.output);
+  EXPECT_EQ(server.stats(h).failed, 1) << "ServeTrace leaves stats() alone";
 }
 
 }  // namespace
