@@ -1,6 +1,7 @@
 #include "compiler/compiler.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/check.h"
@@ -18,6 +19,19 @@ namespace {
 constexpr int kBaseShift = 6;  // features are Q5.6
 
 int Lcm(int a, int b) { return a / std::gcd(a, b) * b; }
+
+/// Stores a codegen value into an instruction field. A bare narrowing cast
+/// would wrap a value the field's type cannot hold (a 65540-wide fmap into
+/// a 16-bit pitch, a stride of 257 into 8 bits) into one that passes the
+/// codec's bit-width check, compiling a program that computes something
+/// else. The codec still checks the field's exact bit width.
+template <typename Field>
+void Put(Field& field, std::int64_t value, const char* name) {
+  HDNN_CHECK(value >= 0 && static_cast<std::uint64_t>(value) <=
+                               std::numeric_limits<Field>::max())
+      << "instruction field " << name << " cannot hold " << value;
+  field = static_cast<Field>(value);
+}
 
 SaveLayout LayoutFor(ConvMode source_mode, ConvMode target_layout) {
   if (source_mode == ConvMode::kWinograd) {
@@ -346,29 +360,32 @@ class Codegen {
     f.op = Opcode::kLoadInp;
     f.keep_resident = InputResident(li);
     f.dept = kWaitCredit | kEmitData;
-    f.buff_id = static_cast<std::uint8_t>(ldi_count_++ % 2);
+    Put(f.buff_id, ldi_count_++ % 2, "buff_id");
     f.buff_base = 0;
-    f.rows = static_cast<std::uint16_t>(geom.rows_read);
-    f.cols = static_cast<std::uint16_t>(geom.cols_read);
-    f.chan_vecs = static_cast<std::uint16_t>(cv);
-    f.pad_t = static_cast<std::uint8_t>(geom.pad_t);
-    f.pad_b = static_cast<std::uint8_t>(geom.pad_b);
-    f.pad_l = static_cast<std::uint8_t>(geom.pad_l);
-    f.pad_r = static_cast<std::uint8_t>(geom.pad_r);
-    f.pitch = static_cast<std::uint16_t>(in.width);
-    f.aux = static_cast<std::uint16_t>(in.height);
+    Put(f.rows, geom.rows_read, "rows");
+    Put(f.cols, geom.cols_read, "cols");
+    Put(f.chan_vecs, cv, "chan_vecs");
+    Put(f.pad_t, geom.pad_t, "pad_t");
+    Put(f.pad_b, geom.pad_b, "pad_b");
+    Put(f.pad_l, geom.pad_l, "pad_l");
+    Put(f.pad_r, geom.pad_r, "pad_r");
+    Put(f.pitch, in.width, "pitch (fmap width)");
+    Put(f.aux, in.height, "aux (fmap height)");
     const std::int64_t region = cm.input_region(li);
     if (plan.input_layout == ConvMode::kWinograd) {
       f.wino = true;
-      f.dram_base = static_cast<std::uint32_t>(
+      Put(f.dram_base,
           region + static_cast<std::int64_t>(c0) * in.height * in.width +
-          static_cast<std::int64_t>(geom.dram_r0) * in.width + geom.dram_c0);
+              static_cast<std::int64_t>(geom.dram_r0) * in.width +
+              geom.dram_c0,
+          "dram_base");
     } else {
       HDNN_INTERNAL(c0 == 0) << "SPAT layout cannot address channel blocks";
-      f.dram_base = static_cast<std::uint32_t>(
+      Put(f.dram_base,
           region + (static_cast<std::int64_t>(geom.dram_r0) * in.width +
                     geom.dram_c0) *
-                       plan.cp_in);
+                       plan.cp_in,
+          "dram_base");
     }
     return f;
   }
@@ -383,27 +400,24 @@ class Codegen {
     LoadFields w;
     w.op = Opcode::kLoadWgt;
     w.dept = kWaitCredit;
-    w.buff_id = static_cast<std::uint8_t>(half);
+    Put(w.buff_id, half, "buff_id");
     w.buff_base = 0;
-    w.dram_base =
-        static_cast<std::uint32_t>(plan.wgt_dram_base + block.base_words);
-    w.rows = static_cast<std::uint16_t>(wino ? cfg_.pt : layer.kernel_h);
-    w.cols = static_cast<std::uint16_t>(wino ? cfg_.pt : layer.kernel_w);
-    w.chan_vecs =
-        static_cast<std::uint16_t>(CeilDiv(block.c_count, cfg_.pi));
-    w.aux = static_cast<std::uint16_t>(CeilDiv(block.k_count, cfg_.po));
+    Put(w.dram_base, plan.wgt_dram_base + block.base_words, "dram_base");
+    Put(w.rows, wino ? cfg_.pt : layer.kernel_h, "rows");
+    Put(w.cols, wino ? cfg_.pt : layer.kernel_w, "cols");
+    Put(w.chan_vecs, CeilDiv(block.c_count, cfg_.pi), "chan_vecs");
+    Put(w.aux, CeilDiv(block.k_count, cfg_.po), "aux");
     w.wino = wino;
-    w.wino_offset = static_cast<std::uint8_t>(std::min(block.slice, 7));
+    Put(w.wino_offset, std::min(block.slice, 7), "wino_offset");
     Emit(cm, w);
 
     LoadFields b;
     b.op = Opcode::kLoadBias;
     b.dept = kEmitData;
-    b.buff_id = static_cast<std::uint8_t>(half);
+    Put(b.buff_id, half, "buff_id");
     b.buff_base = 0;
-    b.dram_base = static_cast<std::uint32_t>(plan.bias_dram_base +
-                                             2LL * block.k0);
-    b.aux = static_cast<std::uint16_t>(CeilDiv(block.k_count, cfg_.po));
+    Put(b.dram_base, plan.bias_dram_base + 2LL * block.k0, "dram_base");
+    Put(b.aux, CeilDiv(block.k_count, cfg_.po), "aux");
     Emit(cm, b);
   }
 
@@ -413,40 +427,41 @@ class Codegen {
     const ConvLayer& layer = model_.layer(li);
     const bool wino = plan.mapping.mode == ConvMode::kWinograd;
     CompFields f;
-    f.inp_buff_id = static_cast<std::uint8_t>(inp_half);
-    f.wgt_buff_id = static_cast<std::uint8_t>(wgt_half);
-    f.out_buff_id = static_cast<std::uint8_t>(save_count_ % 2);
+    Put(f.inp_buff_id, inp_half, "inp_buff_id");
+    Put(f.wgt_buff_id, wgt_half, "wgt_buff_id");
+    Put(f.out_buff_id, save_count_ % 2, "out_buff_id");
     f.inp_buff_base = 0;
     f.out_buff_base = 0;
     f.wgt_buff_base = 0;
-    f.iw_num = static_cast<std::uint16_t>(geom.window_cols);
-    f.ic_vecs = static_cast<std::uint16_t>(CeilDiv(block.c_count, cfg_.pi));
-    f.oc_vecs = static_cast<std::uint16_t>(CeilDiv(block.k_count, cfg_.po));
-    f.stride = static_cast<std::uint8_t>(layer.stride);
+    Put(f.iw_num, geom.window_cols, "iw_num");
+    Put(f.ic_vecs, CeilDiv(block.c_count, cfg_.pi), "ic_vecs");
+    Put(f.oc_vecs, CeilDiv(block.k_count, cfg_.po), "oc_vecs");
+    Put(f.stride, layer.stride, "stride");
     // A residual layer's ReLU applies to the sum, so COMP emits the raw
     // requantised convolution and SAVE_RES rectifies after the add.
     f.relu = layer.relu && !layer.has_residual();
     // Each COMP covers one weight block (one k0..k0+k_count output-channel
     // range), so a per-channel plan lowers to the block's clamped shift.
-    f.quan = static_cast<std::uint8_t>(
+    Put(f.quan,
         plan.quan_shift_ch.empty()
             ? plan.quan_shift
-            : plan.quan_shift_ch[static_cast<std::size_t>(block.k0)]);
+            : plan.quan_shift_ch[static_cast<std::size_t>(block.k0)],
+        "quan");
     f.wino = wino;
-    f.wino_offset = static_cast<std::uint8_t>(block.slice);
+    Put(f.wino_offset, block.slice, "wino_offset");
     if (wino) {
-      f.ow_num = static_cast<std::uint16_t>(geom.tiles_w);
-      f.oh_num = static_cast<std::uint8_t>(geom.tiles_h);
+      Put(f.ow_num, geom.tiles_w, "ow_num");
+      Put(f.oh_num, geom.tiles_h, "oh_num");
       f.kh = 3;
       f.kw = 3;
       const int slices_w = static_cast<int>(CeilDiv(layer.kernel_w, 3));
-      f.base_row = static_cast<std::uint8_t>(3 * (block.slice / slices_w));
-      f.base_col = static_cast<std::uint8_t>(3 * (block.slice % slices_w));
+      Put(f.base_row, 3 * (block.slice / slices_w), "base_row");
+      Put(f.base_col, 3 * (block.slice % slices_w), "base_col");
     } else {
-      f.ow_num = static_cast<std::uint16_t>(geom.ow_cnt);
-      f.oh_num = static_cast<std::uint8_t>(geom.oh_cnt);
-      f.kh = static_cast<std::uint8_t>(layer.kernel_h);
-      f.kw = static_cast<std::uint8_t>(layer.kernel_w);
+      Put(f.ow_num, geom.ow_cnt, "ow_num");
+      Put(f.oh_num, geom.oh_cnt, "oh_num");
+      Put(f.kh, layer.kernel_h, "kh");
+      Put(f.kw, layer.kernel_w, "kw");
       f.base_row = 0;
       f.base_col = 0;
     }
@@ -462,16 +477,16 @@ class Codegen {
     SaveFields f;
     f.keep_resident = plan.mapping.fuse_output;
     f.dept = kWaitData0 | kEmitCredit0;
-    f.buff_id = static_cast<std::uint8_t>(save_count_++ % 2);
+    Put(f.buff_id, save_count_++ % 2, "buff_id");
     f.buff_base = 0;
-    f.rows = static_cast<std::uint8_t>(geom.oh_cnt);
-    f.cols = static_cast<std::uint16_t>(geom.ow_cnt);
-    f.oc_vecs = static_cast<std::uint16_t>(CeilDiv(block.k_count, cfg_.po));
+    Put(f.rows, geom.oh_cnt, "rows");
+    Put(f.cols, geom.ow_cnt, "cols");
+    Put(f.oc_vecs, CeilDiv(block.k_count, cfg_.po), "oc_vecs");
     f.layout = LayoutFor(plan.mapping.mode, plan.output_layout);
-    f.pool = static_cast<std::uint8_t>(pool);
-    f.out_h = static_cast<std::uint16_t>(out.height);
-    f.out_w = static_cast<std::uint16_t>(out.width);
-    f.oc_pitch = static_cast<std::uint16_t>(plan.cp_out);
+    Put(f.pool, pool, "pool");
+    Put(f.out_h, out.height, "out_h");
+    Put(f.out_w, out.width, "out_w");
+    Put(f.oc_pitch, plan.cp_out, "oc_pitch");
     const int pr0 = geom.oh0 / pool;
     const int pc0 = geom.ow0 / pool;
     // Folds the k-group and group-origin offsets into a tensor base, per
@@ -479,24 +494,26 @@ class Codegen {
     // this layer's exact conv-out geometry (model validation) and the same
     // padded channel count, so the fold is identical.
     auto fold_origin = [&](std::int64_t base, bool wino) {
-      return static_cast<std::uint32_t>(
-          wino ? base +
-                     static_cast<std::int64_t>(block.k0) * out.height *
-                         out.width +
-                     static_cast<std::int64_t>(pr0) * out.width + pc0
-               : base +
-                     (static_cast<std::int64_t>(pr0) * out.width + pc0) *
-                         plan.cp_out +
-                     block.k0);
+      return wino ? base +
+                        static_cast<std::int64_t>(block.k0) * out.height *
+                            out.width +
+                        static_cast<std::int64_t>(pr0) * out.width + pc0
+                  : base +
+                        (static_cast<std::int64_t>(pr0) * out.width + pc0) *
+                            plan.cp_out +
+                        block.k0;
     };
-    f.dram_base = fold_origin(cm.output_region(li),
-                              plan.output_layout == ConvMode::kWinograd);
+    Put(f.dram_base,
+        fold_origin(cm.output_region(li),
+                    plan.output_layout == ConvMode::kWinograd),
+        "dram_base");
     if (layer.has_residual()) {
       HDNN_INTERNAL(plan.res_dram_base >= 0) << "residual slot unassigned";
       f.res_add = true;
       f.res_wino = plan.res_wino;
       f.relu = layer.relu;
-      f.res_dram_base = fold_origin(plan.res_dram_base, plan.res_wino);
+      Put(f.res_dram_base, fold_origin(plan.res_dram_base, plan.res_wino),
+          "res_dram_base");
     }
     Emit(cm, f);
   }

@@ -214,12 +214,7 @@ void WriteWeightImages(const CompiledModel& cm, const Model& model,
       std::int64_t b = 0;
       if (k < K && !lw.bias.empty()) b = lw.bias.flat(k);
       if (wino) b <<= plan.u_shift;
-      const std::uint32_t u =
-          static_cast<std::uint32_t>(static_cast<std::int32_t>(b));
-      bias_dst[static_cast<std::size_t>(2 * k)] =
-          static_cast<std::int16_t>(u & 0xffff);
-      bias_dst[static_cast<std::size_t>(2 * k + 1)] =
-          static_cast<std::int16_t>(u >> 16);
+      StoreWordPair(bias_dst.data() + 2 * k, static_cast<std::int32_t>(b));
     }
   }
 }

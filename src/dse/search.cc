@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "compiler/fusion.h"
 #include "platform/power_model.h"
+#include "platform/profile_constants.h"
 
 namespace hdnn {
 namespace {
@@ -32,43 +33,20 @@ constexpr BufferRung kBufferLadder[] = {
     {2048, 576, 1024},
 };
 
+/// Search bounds and the tie window of the balanced/replicated preference.
+constexpr int kMaxNi = 8;
+constexpr int kMaxPi = 16;
+constexpr double kTieFraction = 0.05;
+
 int ResolveThreads(int num_threads) {
   if (num_threads > 0) return num_threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-/// Everything the latency model reads from a model, flattened: input
-/// geometry, the per-layer fields of every layer (is_fc included because
-/// it changes the canonical input shape of the next layer), and the graph
-/// edges (input + residual indices — a skip edge changes a layer's input
-/// shape source and adds SAVE-stage traffic). Names and relu are
-/// deliberately absent — two models differing only there score identically.
-std::vector<int> GeometrySignature(const Model& model) {
-  std::vector<int> sig;
-  sig.reserve(4 + 10 * static_cast<std::size_t>(model.num_layers()));
-  const FmapShape& in = model.input();
-  sig.insert(sig.end(), {in.channels, in.height, in.width,
-                         model.num_layers()});
-  for (int i = 0; i < model.num_layers(); ++i) {
-    const ConvLayer& l = model.layer(i);
-    sig.insert(sig.end(),
-               {l.in_channels, l.out_channels, l.kernel_h, l.kernel_w,
-                l.stride, l.pad, l.pool, static_cast<int>(l.is_fc),
-                model.input_index(i), model.residual_index(i)});
-  }
-  return sig;
-}
-
 }  // namespace
 
 void DseOptions::Validate() const {
-  HDNN_CHECK(max_ni >= 1) << "DseOptions.max_ni must be >= 1, got " << max_ni
-                          << " (the search would explore an empty space)";
-  HDNN_CHECK(max_pi >= 1) << "DseOptions.max_pi must be >= 1, got " << max_pi
-                          << " (the search would explore an empty space)";
-  HDNN_CHECK(tie_fraction >= 0)
-      << "DseOptions.tie_fraction must be >= 0, got " << tie_fraction;
   HDNN_CHECK(num_threads >= 0)
       << "DseOptions.num_threads must be >= 0 (0 = hardware concurrency), "
          "got " << num_threads;
@@ -87,9 +65,6 @@ bool Dominates(const ParetoPoint& a, const ParetoPoint& b) {
   return strictly_better;
 }
 
-DseEngine::DseEngine(const FpgaSpec& spec, const ProfileConstants& profile)
-    : spec_(spec), profile_(profile) {}
-
 bool DseEngine::AssignBuffers(AccelConfig& cfg, ResourceEstimate* analytical,
                               ResourceEstimate* implementation) const {
   for (const BufferRung& rung : kBufferLadder) {
@@ -100,8 +75,9 @@ bool DseEngine::AssignBuffers(AccelConfig& cfg, ResourceEstimate* analytical,
     // deliberately over-estimates BRAM, as the paper's own Table 3 shows);
     // the implementation model additionally honours the per-die headroom.
     const ResourceEstimate impl =
-        ImplementationResources(cfg, spec_, profile_);
-    const ResourceEstimate ana = AnalyticalResources(cfg, spec_, profile_);
+        ImplementationResources(cfg, spec_, DefaultProfile());
+    const ResourceEstimate ana =
+        AnalyticalResources(cfg, spec_, DefaultProfile());
     if (FitsDeviceLimits(ana, spec_) && FitsDeviceLimits(impl, spec_) &&
         FitsPerDie(impl, cfg, spec_)) {
       if (analytical) *analytical = ana;
@@ -112,22 +88,15 @@ bool DseEngine::AssignBuffers(AccelConfig& cfg, ResourceEstimate* analytical,
   return false;
 }
 
-const std::vector<DseEngine::Candidate>& DseEngine::CandidatesFor(
-    const DseOptions& opts) const {
-  const std::pair<int, int> key{opts.max_ni, opts.max_pi};
-  std::lock_guard<std::mutex> lock(enum_mu_);
-  const auto it = enum_cache_.find(key);
-  if (it != enum_cache_.end()) return it->second;
-
-  std::vector<Candidate> candidates;
+DseEngine::DseEngine(const FpgaSpec& spec) : spec_(spec) {
   for (int pt : {4, 6}) {
-    for (int pi = 1; pi <= opts.max_pi; pi *= 2) {
+    for (int pi = 1; pi <= kMaxPi; pi *= 2) {
       for (int po = 1; po <= pi; po *= 2) {
         // Broadcast fanout cap: PI*PT channels of DATA_WIDTH bits is the
         // timing-critical broadcast net (profiled routing constraint; this
         // is what keeps instances within one die on multi-SLR parts).
         if (pi * pt > 32) continue;
-        for (int ni = 1; ni <= opts.max_ni; ++ni) {
+        for (int ni = 1; ni <= kMaxNi; ++ni) {
           Candidate cand;
           cand.cfg.pi = pi;
           cand.cfg.po = po;
@@ -137,21 +106,17 @@ const std::vector<DseEngine::Candidate>& DseEngine::CandidatesFor(
                              &cand.implementation)) {
             continue;
           }
-          candidates.push_back(std::move(cand));
+          candidates_.push_back(std::move(cand));
         }
       }
     }
   }
-  return enum_cache_.emplace(key, std::move(candidates)).first->second;
 }
 
-std::vector<AccelConfig> DseEngine::EnumerateCandidates(
-    const DseOptions& opts) const {
-  opts.Validate();
-  const std::vector<Candidate>& cached = CandidatesFor(opts);
+std::vector<AccelConfig> DseEngine::EnumerateCandidates() const {
   std::vector<AccelConfig> configs;
-  configs.reserve(cached.size());
-  for (const Candidate& cand : cached) configs.push_back(cand.cfg);
+  configs.reserve(candidates_.size());
+  for (const Candidate& cand : candidates_) configs.push_back(cand.cfg);
   return configs;
 }
 
@@ -309,111 +274,85 @@ std::vector<LayerMapping> DseEngine::BestMapping(const Model& model,
 DseEngine::Evaluation DseEngine::EvaluateCandidates(
     const Model& model, const DseOptions& opts) const {
   opts.Validate();
-  const std::vector<Candidate>& candidates = CandidatesFor(opts);
-  HDNN_CHECK(!candidates.empty())
+  HDNN_CHECK(!candidates_.empty())
       << "no feasible accelerator configuration for platform " << spec_.name;
 
-  // Score-level memo: a model geometry this engine has already scored under
-  // the same search options is a single lookup.
-  const ScoreKey score_key{GeometrySignature(model), opts.allow_winograd,
-                           opts.fuse_segments, opts.max_ni, opts.max_pi};
-  std::shared_ptr<const std::vector<CandidateScore>> scores;
-  if (opts.use_memo) {
-    std::lock_guard<std::mutex> lock(score_mu_);
-    const auto it = score_cache_.find(score_key);
-    if (it != score_cache_.end()) scores = it->second;
-  }
+  // Layer inputs once, not per candidate (InputOf is O(i) per call).
+  const int num_layers = model.num_layers();
+  std::vector<FmapShape> inputs;
+  inputs.reserve(static_cast<std::size_t>(num_layers));
+  for (int i = 0; i < num_layers; ++i) inputs.push_back(model.InputOf(i));
 
-  if (scores == nullptr) {
-    // Layer inputs once, not per candidate (InputOf is O(i) per call).
-    const int num_layers = model.num_layers();
-    std::vector<FmapShape> inputs;
-    inputs.reserve(static_cast<std::size_t>(num_layers));
-    for (int i = 0; i < num_layers; ++i) inputs.push_back(model.InputOf(i));
+  // Step 2 for one candidate. Pure given (model, cfg, memo values), so the
+  // schedule of these tasks over workers cannot change any result.
+  auto evaluate = [&](const AccelConfig& cfg) {
+    CandidateScore score;
+    score.mapping.reserve(static_cast<std::size_t>(num_layers));
+    for (int i = 0; i < num_layers; ++i) {
+      const LayerChoice choice = BestLayerChoice(
+          model.layer(i), inputs[static_cast<std::size_t>(i)], cfg, opts);
+      if (!choice.feasible) return CandidateScore{};  // unschedulable layer
+      score.mapping.push_back(choice.mapping);
+      score.cycles += choice.cycles;
+    }
+    ApplyFusion(model, cfg, opts, &score.mapping, &score.cycles);
+    score.feasible = true;
+    return score;
+  };
 
-    // Step 2 for one candidate. Pure given (model, cfg, memo values), so the
-    // schedule of these tasks over workers cannot change any result.
-    auto evaluate = [&](const AccelConfig& cfg) {
-      CandidateScore score;
-      score.mapping.reserve(static_cast<std::size_t>(num_layers));
-      for (int i = 0; i < num_layers; ++i) {
-        const LayerChoice choice = BestLayerChoice(
-            model.layer(i), inputs[static_cast<std::size_t>(i)], cfg, opts);
-        if (!choice.feasible) return CandidateScore{};  // unschedulable layer
-        score.mapping.push_back(choice.mapping);
-        score.cycles += choice.cycles;
+  // Fan out over the pool, then merge in enumeration order: the result is
+  // a plain indexed gather, so 1, 4 and N workers produce identical bits.
+  Evaluation ev;
+  ev.scores.resize(candidates_.size());
+  const int threads = std::min<int>(ResolveThreads(opts.num_threads),
+                                    static_cast<int>(candidates_.size()));
+  if (threads > 1) {
+    // The engine's pool is reused across Explore calls; it is only
+    // (re)created when the resolved worker count changes.
+    std::shared_ptr<ThreadPool> pool;
+    {
+      std::lock_guard<std::mutex> lock(pool_mu_);
+      if (pool_ == nullptr || pool_->num_threads() != threads) {
+        pool_ = std::make_shared<ThreadPool>(threads);
       }
-      ApplyFusion(model, cfg, opts, &score.mapping, &score.cycles);
-      score.feasible = true;
-      return score;
-    };
-
-    // Fan out over the pool, then merge in enumeration order: the result is
-    // a plain indexed gather, so 1, 4 and N workers produce identical bits.
-    std::vector<CandidateScore> computed(candidates.size());
-    const int threads =
-        std::min<int>(ResolveThreads(opts.num_threads),
-                      static_cast<int>(candidates.size()));
-    if (threads > 1) {
-      // The engine's pool is reused across Explore calls; it is only
-      // (re)created when the resolved worker count changes.
-      std::shared_ptr<ThreadPool> pool;
-      {
-        std::lock_guard<std::mutex> lock(pool_mu_);
-        if (pool_ == nullptr || pool_->num_threads() != threads) {
-          pool_ = std::make_shared<ThreadPool>(threads);
-        }
-        pool = pool_;
-      }
-      std::vector<std::future<CandidateScore>> futures;
-      futures.reserve(candidates.size());
-      for (const Candidate& cand : candidates) {
-        futures.push_back(
-            pool->Submit([&evaluate, &cand] { return evaluate(cand.cfg); }));
-      }
-      // Drain every future before rethrowing: queued tasks capture this
-      // frame's locals by reference, so unwinding mid-loop while the
-      // long-lived pool still runs them would be a use-after-free.
-      std::exception_ptr first_error;
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-          computed[i] = futures[i].get();
-        } catch (...) {
-          if (first_error == nullptr) first_error = std::current_exception();
-        }
-      }
-      if (first_error != nullptr) std::rethrow_exception(first_error);
-    } else {
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        computed[i] = evaluate(candidates[i].cfg);
+      pool = pool_;
+    }
+    std::vector<std::future<CandidateScore>> futures;
+    futures.reserve(candidates_.size());
+    for (const Candidate& cand : candidates_) {
+      futures.push_back(
+          pool->Submit([&evaluate, &cand] { return evaluate(cand.cfg); }));
+    }
+    // Drain every future before rethrowing: queued tasks capture this
+    // frame's locals by reference, so unwinding mid-loop while the
+    // long-lived pool still runs them would be a use-after-free.
+    std::exception_ptr first_error;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      try {
+        ev.scores[i] = futures[i].get();
+      } catch (...) {
+        if (first_error == nullptr) first_error = std::current_exception();
       }
     }
-
-    auto owned = std::make_shared<const std::vector<CandidateScore>>(
-        std::move(computed));
-    if (opts.use_memo) {
-      std::lock_guard<std::mutex> lock(score_mu_);
-      score_cache_.emplace(score_key, owned);  // first writer wins
+    if (first_error != nullptr) std::rethrow_exception(first_error);
+  } else {
+    for (std::size_t i = 0; i < candidates_.size(); ++i) {
+      ev.scores[i] = evaluate(candidates_[i].cfg);
     }
-    scores = std::move(owned);
   }
 
   // The feasible subset, in enumeration order.
-  Evaluation ev;
-  ev.candidates = &candidates;
-  ev.scores = std::move(scores);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (!(*ev.scores)[i].feasible) continue;
-    ev.scored.push_back(Scored{&candidates[i], &(*ev.scores)[i],
-                               (*ev.scores)[i].cycles / candidates[i].cfg.ni});
+  for (std::size_t i = 0; i < candidates_.size(); ++i) {
+    if (!ev.scores[i].feasible) continue;
+    ev.scored.push_back(Scored{&candidates_[i], &ev.scores[i],
+                               ev.scores[i].cycles / candidates_[i].cfg.ni});
   }
   HDNN_CHECK(!ev.scored.empty())
       << "no candidate can schedule every layer of " << model.name();
   return ev;
 }
 
-DseResult DseEngine::SelectBest(const Evaluation& ev,
-                                const DseOptions& opts) const {
+DseResult DseEngine::SelectBest(const Evaluation& ev) const {
   const std::vector<Scored>& scored = ev.scored;
   const double best_objective =
       std::min_element(scored.begin(), scored.end(),
@@ -426,7 +365,7 @@ DseResult DseEngine::SelectBest(const Evaluation& ev,
   // geometry (small PI/PO ratio), then more instances, then fewer LUTs.
   const Scored* chosen = nullptr;
   for (const Scored& s : scored) {
-    if (s.objective > best_objective * (1.0 + opts.tie_fraction)) continue;
+    if (s.objective > best_objective * (1.0 + kTieFraction)) continue;
     if (chosen == nullptr) {
       chosen = &s;
       continue;
@@ -464,7 +403,7 @@ DseFrontier DseEngine::ExploreFrontier(const Model& model,
 
   DseFrontier frontier;
   frontier.candidates_evaluated = static_cast<int>(ev.scored.size());
-  frontier.best = SelectBest(ev, opts);
+  frontier.best = SelectBest(ev);
 
   // Multi-objective view of every scored candidate.
   std::vector<ParetoPoint> points;
@@ -472,7 +411,7 @@ DseFrontier DseEngine::ExploreFrontier(const Model& model,
   for (const Scored& s : ev.scored) {
     ParetoPoint p;
     p.config = s.cand->cfg;
-    p.mapping = s.score->mapping;  // copy: the score vector may be cached
+    p.mapping = s.score->mapping;
     p.estimated_cycles = s.score->cycles;
     p.objective = s.objective;
     p.analytical = s.cand->analytical;
@@ -518,7 +457,7 @@ DseFrontier DseEngine::ExploreFrontier(const Model& model,
 DseResult DseEngine::Explore(const Model& model, const DseOptions& opts) const {
   // The thin best-point wrapper: same evaluation and tie-break as
   // ExploreFrontier, without paying for frontier construction.
-  return SelectBest(EvaluateCandidates(model, opts), opts);
+  return SelectBest(EvaluateCandidates(model, opts));
 }
 
 }  // namespace hdnn

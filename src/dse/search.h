@@ -31,12 +31,9 @@
 #ifndef HDNN_DSE_SEARCH_H_
 #define HDNN_DSE_SEARCH_H_
 
-#include <compare>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -45,7 +42,6 @@
 #include "estimator/resource_model.h"
 #include "nn/model.h"
 #include "platform/fpga_spec.h"
-#include "platform/profile_constants.h"
 
 namespace hdnn {
 
@@ -53,10 +49,6 @@ class ThreadPool;
 
 struct DseOptions {
   bool allow_winograd = true;  ///< false = Spatial-only baseline accelerator
-  int max_ni = 8;
-  int max_pi = 16;
-  /// Tie window for the balanced/replicated preference.
-  double tie_fraction = 0.05;
   /// Worker threads for candidate evaluation: 1 = in-caller serial loop,
   /// N > 1 = pool of N workers, 0 = std::thread::hardware_concurrency().
   /// Results are bit-identical for every setting.
@@ -71,8 +63,7 @@ struct DseOptions {
   /// every mapping unfused (the pre-fusion behaviour).
   bool fuse_segments = true;
 
-  /// Throws InvalidArgument (via HDNN_CHECK) on out-of-range fields instead
-  /// of letting the search silently explore an empty space.
+  /// Throws InvalidArgument (via HDNN_CHECK) on out-of-range fields.
   void Validate() const;
 };
 
@@ -127,11 +118,12 @@ bool Dominates(const ParetoPoint& a, const ParetoPoint& b);
 
 class DseEngine {
  public:
-  explicit DseEngine(const FpgaSpec& spec,
-                     const ProfileConstants& profile = DefaultProfile());
+  /// Enumerates the spec's HW candidates (step 1) once, with the default
+  /// profile constants.
+  explicit DseEngine(const FpgaSpec& spec);
 
   /// Step 1: HW candidates satisfying the resource constraints.
-  std::vector<AccelConfig> EnumerateCandidates(const DseOptions& opts) const;
+  std::vector<AccelConfig> EnumerateCandidates() const;
 
   /// Step 2: best per-layer mapping for a fixed config; returns the summed
   /// latency (cycles). Layers that cannot be scheduled at all raise
@@ -171,35 +163,12 @@ class DseEngine {
   bool AssignBuffers(AccelConfig& cfg, ResourceEstimate* analytical,
                      ResourceEstimate* implementation) const;
 
-  /// Enumeration with a per-(max_ni, max_pi) cache: candidate lists are pure
-  /// functions of the spec and those two options, and portfolio sweeps
-  /// re-enumerate constantly.
-  const std::vector<Candidate>& CandidatesFor(const DseOptions& opts) const;
-
   /// Step-2 answer for one candidate: the per-layer mapping and summed
   /// cycles, or infeasible when some layer cannot be scheduled at all.
   struct CandidateScore {
     bool feasible = false;
     std::vector<LayerMapping> mapping;
     double cycles = 0;
-  };
-
-  /// Second memo level: the full per-candidate score vector of one
-  /// (model geometry, search options) pair. Re-exploring a model the engine
-  /// has already scored — the steady state of a portfolio sweep — becomes a
-  /// single lookup plus frontier construction. Values are pure functions of
-  /// the key (the per-layer level guarantees each element), so cached and
-  /// cold explorations are bit-identical. The key stores the full geometry
-  /// signature, not a hash of it: a silent collision here would return the
-  /// wrong model's scores.
-  struct ScoreKey {
-    std::vector<int> geometry;
-    bool allow_winograd = true;
-    bool fuse_segments = true;
-    int max_ni = 0;
-    int max_pi = 0;
-
-    friend auto operator<=>(const ScoreKey&, const ScoreKey&) = default;
   };
 
   /// Best (mode, dataflow) for one layer on one config — the single source
@@ -224,23 +193,22 @@ class DseEngine {
                    const DseOptions& opts, std::vector<LayerMapping>* mapping,
                    double* total_cycles) const;
 
-  /// Steps 1-2 for every candidate: the (possibly score-cached) evaluation,
-  /// plus the feasible subset in enumeration order.
+  /// Step 2 for every candidate: the per-candidate scores, plus the
+  /// feasible subset in enumeration order.
   struct Scored {
     const Candidate* cand = nullptr;
     const CandidateScore* score = nullptr;
     double objective = 0;
   };
   struct Evaluation {
-    const std::vector<Candidate>* candidates = nullptr;
-    std::shared_ptr<const std::vector<CandidateScore>> scores;
+    std::vector<CandidateScore> scores;
     std::vector<Scored> scored;
   };
   Evaluation EvaluateCandidates(const Model& model,
                                 const DseOptions& opts) const;
 
   /// Step 3: the legacy tie-break over the scored set.
-  DseResult SelectBest(const Evaluation& ev, const DseOptions& opts) const;
+  DseResult SelectBest(const Evaluation& ev) const;
 
   /// Best legal dataflow for (layer, in, mode) on `cfg` under the fusion
   /// context, through the memo cache when `use_memo`.
@@ -250,15 +218,9 @@ class DseEngine {
                                       const FusionContext& fusion = {}) const;
 
   FpgaSpec spec_;
-  ProfileConstants profile_;
+  std::vector<Candidate> candidates_;  ///< step 1, in enumeration order
 
   mutable LatencyMemoCache memo_;
-  mutable std::mutex enum_mu_;
-  mutable std::map<std::pair<int, int>, std::vector<Candidate>> enum_cache_;
-  mutable std::mutex score_mu_;
-  mutable std::map<ScoreKey,
-                   std::shared_ptr<const std::vector<CandidateScore>>>
-      score_cache_;
   /// Lazily created, reused across Explore calls (recreated only when the
   /// requested worker count changes); shared_ptr so concurrent calls keep
   /// their pool alive across a resize.

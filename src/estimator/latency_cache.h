@@ -67,8 +67,8 @@ LayerLatencyKey MakeLatencyKey(const ConvLayer& layer, const FmapShape& in,
                                ConvMode mode, const AccelConfig& cfg,
                                const FusionContext& fusion);
 
-/// splitmix64-style hash combine shared by the memo caches (and usable for
-/// model-geometry hashing in higher cache levels).
+/// splitmix64-style hash combine shared by the memo cache and the runtime's
+/// weight-image key.
 std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t value);
 
 /// The memoized answer: the best legal dataflow for the keyed mode and its

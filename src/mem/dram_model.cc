@@ -22,7 +22,6 @@ void DramModel::Reset(std::int64_t words, std::int64_t keep_words) {
   words_.resize(static_cast<std::size_t>(words));
   std::fill(words_.begin() + static_cast<std::ptrdiff_t>(keep_words),
             words_.end(), 0);
-  next_free_ = 0;
   words_read_ = 0;
   words_written_ = 0;
 }
@@ -33,29 +32,6 @@ std::int16_t DramModel::Read(std::int64_t addr) const {
   ++words_read_;
   if (!faults_.empty()) MaybeInject();
   return words_[static_cast<std::size_t>(addr)];
-}
-
-void DramModel::Write(std::int64_t addr, std::int16_t value) {
-  HDNN_CHECK(addr >= 0 && addr < size_words())
-      << "DRAM write out of range: " << addr << " / " << size_words();
-  ++words_written_;
-  words_[static_cast<std::size_t>(addr)] = value;
-  if (!faults_.empty()) MaybeInject();
-}
-
-void DramModel::ReadBlock(std::int64_t addr, std::span<std::int16_t> out) const {
-  const std::span<const std::int16_t> src =
-      ReadRun(addr, static_cast<std::int64_t>(out.size()));
-  if (src.empty()) return;
-  std::copy_n(src.data(), src.size(), out.data());
-}
-
-void DramModel::WriteBlock(std::int64_t addr,
-                           std::span<const std::int16_t> data) {
-  const std::span<std::int16_t> dst =
-      WriteRun(addr, static_cast<std::int64_t>(data.size()));
-  if (dst.empty()) return;
-  std::copy_n(data.data(), data.size(), dst.data());
 }
 
 std::span<const std::int16_t> DramModel::ReadRun(std::int64_t addr,
@@ -87,31 +63,6 @@ std::span<const std::int16_t> DramModel::ViewRun(std::int64_t addr,
   if (words == 0) return {};
   return {words_.data() + static_cast<std::size_t>(addr),
           static_cast<std::size_t>(words)};
-}
-
-std::int32_t DramModel::Read32(std::int64_t addr) const {
-  const std::uint16_t lo = static_cast<std::uint16_t>(Read(addr));
-  const std::uint16_t hi = static_cast<std::uint16_t>(Read(addr + 1));
-  return static_cast<std::int32_t>(
-      (static_cast<std::uint32_t>(hi) << 16) | lo);
-}
-
-void DramModel::Write32(std::int64_t addr, std::int32_t value) {
-  const std::uint32_t u = static_cast<std::uint32_t>(value);
-  Write(addr, static_cast<std::int16_t>(u & 0xffff));
-  Write(addr + 1, static_cast<std::int16_t>(u >> 16));
-}
-
-std::int64_t DramModel::Allocate(std::int64_t words) {
-  HDNN_CHECK(words >= 0) << "negative allocation";
-  if (next_free_ + words > size_words()) {
-    throw CapacityError("DRAM exhausted: need " + std::to_string(words) +
-                        " words at offset " + std::to_string(next_free_) +
-                        ", capacity " + std::to_string(size_words()));
-  }
-  const std::int64_t base = next_free_;
-  next_free_ += words;
-  return base;
 }
 
 void DramModel::ArmFault(const DramFault& fault) {

@@ -39,30 +39,25 @@ class DramModel {
   /// reallocating). The prefix [0, keep_words) keeps its contents: a
   /// Runtime keeps its resident weight image there and zeroes only the
   /// fmap slots. `keep_words` may not exceed the current or the new size.
-  /// Also resets the bump allocator and the access statistics.
+  /// Also resets the access statistics.
   void Reset(std::int64_t words, std::int64_t keep_words = 0);
 
   std::int64_t size_words() const {
     return static_cast<std::int64_t>(words_.size());
   }
 
+  /// One-word read: the SAVE stage's cross-layout residual operand, which
+  /// is strided by construction. Counts one word read.
   std::int16_t Read(std::int64_t addr) const;
-  void Write(std::int64_t addr, std::int16_t value);
-
-  /// Reads/writes `out.size()` consecutive words starting at addr.
-  void ReadBlock(std::int64_t addr, std::span<std::int16_t> out) const;
-  void WriteBlock(std::int64_t addr, std::span<const std::int16_t> data);
 
   // --- Bulk span views (the simulator's LOAD/SAVE datapath) ---
   //
   // Each validates the whole transaction's range [addr, addr + words) once
   // and returns a span directly over the backing store, so the caller's copy
-  // micro-kernels run at memcpy speed with no per-word bounds checks. The
-  // statistics advance by the run length exactly as `words` individual
-  // Read/Write calls would, keeping words_read()/words_written() identical
-  // between the per-word and bulk paths. Zero-length runs are explicitly
-  // legal at any addr in [0, size_words()] and touch neither storage nor
-  // stats. Spans are invalidated by Reset().
+  // micro-kernels run at memcpy speed with no per-word bounds checks.
+  // ReadRun/WriteRun advance the statistics by the run length. Zero-length
+  // runs are explicitly legal at any addr in [0, size_words()] and touch
+  // neither storage nor stats. Spans are invalidated by Reset().
 
   /// Validated read transaction: counts `words` read.
   std::span<const std::int16_t> ReadRun(std::int64_t addr,
@@ -76,24 +71,14 @@ class DramModel {
   std::span<const std::int16_t> ViewRun(std::int64_t addr,
                                         std::int64_t words) const;
 
-  /// 32-bit accessors for bias words (little-endian pair of 16-bit words).
-  std::int32_t Read32(std::int64_t addr) const;
-  void Write32(std::int64_t addr, std::int32_t value);
-
-  /// Simple bump allocation of a region; returns the base word address.
-  std::int64_t Allocate(std::int64_t words);
-  std::int64_t allocated_words() const { return next_free_; }
-  void ResetAllocator() { next_free_ = 0; }
-
   // Statistics (functional accesses; the timing model accounts bandwidth
   // separately at transaction granularity).
   std::int64_t words_read() const { return words_read_; }
   std::int64_t words_written() const { return words_written_; }
-  void ResetStats() { words_read_ = words_written_ = 0; }
 
   // --- Fault injection hook (chaos testing; see DramFault above) ---
   //
-  // The armed list is checked on every access-counting path (Read/Write,
+  // The armed list is checked on every access-counting path (Read,
   // ReadRun/WriteRun — ViewRun takes no stats and triggers nothing), after
   // the statistics bump, so a fault armed at threshold N fires on the
   // access that carries the count to >= N. With nothing armed the hook is
@@ -111,12 +96,26 @@ class DramModel {
   /// corrupting storage during a read is the point of modeling disturb
   /// errors. Plain reads never mutate when no fault is armed.
   mutable std::vector<std::int16_t> words_;
-  std::int64_t next_free_ = 0;
   mutable std::int64_t words_read_ = 0;
   std::int64_t words_written_ = 0;
   mutable std::vector<DramFault> faults_;
   mutable std::int64_t injected_ = 0;
 };
+
+/// The bias word format: an int32 stored as two little-endian 16-bit DRAM
+/// words, low word first. Weight packing stores it and LOAD_BIAS loads it.
+inline void StoreWordPair(std::int16_t* dst, std::int32_t value) {
+  const auto u = static_cast<std::uint32_t>(value);
+  dst[0] = static_cast<std::int16_t>(u & 0xffff);
+  dst[1] = static_cast<std::int16_t>(u >> 16);
+}
+
+inline std::int32_t LoadWordPair(const std::int16_t* src) {
+  const auto lo = static_cast<std::uint16_t>(src[0]);
+  const auto hi = static_cast<std::uint16_t>(src[1]);
+  return static_cast<std::int32_t>((static_cast<std::uint32_t>(hi) << 16) |
+                                   lo);
+}
 
 }  // namespace hdnn
 

@@ -4,36 +4,6 @@
 
 namespace hdnn {
 
-PingPongBuffer::PingPongBuffer(std::string name, std::int64_t capacity_per_half)
-    : name_(std::move(name)),
-      capacity_(capacity_per_half),
-      data_(static_cast<std::size_t>(2 * capacity_per_half), 0) {
-  HDNN_CHECK(capacity_per_half > 0)
-      << name_ << ": capacity must be positive";
-}
-
-std::int64_t PingPongBuffer::Slot(int half, std::int64_t index) const {
-  HDNN_CHECK(half == 0 || half == 1) << name_ << ": half must be 0/1";
-  HDNN_CHECK(index >= 0 && index < capacity_)
-      << name_ << ": index " << index << " exceeds half capacity "
-      << capacity_;
-  return static_cast<std::int64_t>(half) * capacity_ + index;
-}
-
-std::int32_t PingPongBuffer::Read(int half, std::int64_t index) const {
-  return data_[static_cast<std::size_t>(Slot(half, index))];
-}
-
-void PingPongBuffer::Write(int half, std::int64_t index, std::int32_t value) {
-  data_[static_cast<std::size_t>(Slot(half, index))] = value;
-}
-
-void PingPongBuffer::FillHalf(int half, std::int32_t value) {
-  for (std::int64_t i = 0; i < capacity_; ++i) {
-    data_[static_cast<std::size_t>(Slot(half, i))] = value;
-  }
-}
-
 PartitionFactors InBufferPartition(ConvMode mode, const AccelConfig& cfg) {
   PartitionFactors f;
   if (mode == ConvMode::kWinograd) {

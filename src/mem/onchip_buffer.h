@@ -1,38 +1,14 @@
-// On-chip buffer models: ping-pong buffers with capacity checking, and the
-// Table 1 partition factors used by the resource model and the bank-access
-// property tests.
+// Table 1 partition factors of the on-chip buffers, used by the resource
+// model and the bank-access property tests. The simulator's buffers
+// themselves are the Accelerator's flat ping-pong arrays (sim/accelerator.h).
 #ifndef HDNN_MEM_ONCHIP_BUFFER_H_
 #define HDNN_MEM_ONCHIP_BUFFER_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/types.h"
 
 namespace hdnn {
-
-/// A double-buffered ("ping-pong") on-chip memory holding `capacity`
-/// elements per half. Element type is int32 (wide enough for transformed
-/// features); weights and features use the low bits.
-class PingPongBuffer {
- public:
-  PingPongBuffer(std::string name, std::int64_t capacity_per_half);
-
-  const std::string& name() const { return name_; }
-  std::int64_t capacity_per_half() const { return capacity_; }
-
-  std::int32_t Read(int half, std::int64_t index) const;
-  void Write(int half, std::int64_t index, std::int32_t value);
-  void FillHalf(int half, std::int32_t value);
-
- private:
-  std::int64_t Slot(int half, std::int64_t index) const;
-
-  std::string name_;
-  std::int64_t capacity_;
-  std::vector<std::int32_t> data_;
-};
 
 /// Cyclic partition factors of one on-chip buffer, per dimension
 /// (paper Table 1; bracketed values are the Spatial-mode factors).

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/fault.h"
 #include "compiler/stream_check.h"
-#include "mem/layout.h"
 
 namespace hdnn {
 

@@ -90,7 +90,16 @@ class Runtime {
 };
 
 /// Stores a CHW fmap into a layer's DRAM region with channel padding, in the
-/// given layout (host-side input staging).
+/// given layout (host-side input staging). The two DDR layouts of paper
+/// Fig. 5 differ in which index is innermost, for C padded channels:
+///   SPAT: addr(c,h,w) = (h*W + w)*C + c   (channel innermost: the PE's
+///         Spatial broadcast array streams channel vectors per position)
+///   WINO: addr(c,h,w) = (c*H + h)*W + w   (channel outermost: Winograd
+///         tiles gather PT consecutive columns per channel)
+/// The SAVE module supports all four transforms (WINO/SPAT -> WINO/SPAT) by
+/// writing in the consumer's layout, and each LOAD reads its own mode's
+/// layout, so the reordering work is offloaded to SAVE, as Sec. 4.3
+/// describes.
 void StageInputFmap(DramModel& dram, std::int64_t base, ConvMode layout,
                     const Tensor<std::int16_t>& fmap, int padded_channels);
 

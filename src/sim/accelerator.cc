@@ -335,12 +335,7 @@ Accelerator::ExecResult Accelerator::ExecLoadBias(const LoadFields& f) {
         bias_buf_.data() +
         static_cast<std::size_t>(half * kBiasCapacity + f.buff_base);
     for (std::int64_t i = 0; i < values; ++i) {
-      const std::uint16_t lo =
-          static_cast<std::uint16_t>(src[static_cast<std::size_t>(2 * i)]);
-      const std::uint16_t hi =
-          static_cast<std::uint16_t>(src[static_cast<std::size_t>(2 * i + 1)]);
-      dst[i] = static_cast<std::int32_t>((static_cast<std::uint32_t>(hi) << 16) |
-                                         lo);
+      dst[i] = LoadWordPair(src.data() + 2 * i);
     }
   }
   ExecResult res;

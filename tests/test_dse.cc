@@ -10,7 +10,7 @@ namespace {
 TEST(DseCandidatesTest, AllCandidatesSatisfyConstraints) {
   for (const auto* spec : {&Vu9pSpec(), &PynqZ1Spec()}) {
     const DseEngine dse(*spec);
-    const auto candidates = dse.EnumerateCandidates(DseOptions{});
+    const auto candidates = dse.EnumerateCandidates();
     ASSERT_FALSE(candidates.empty()) << spec->name;
     for (const AccelConfig& cfg : candidates) {
       EXPECT_NO_THROW(cfg.Validate());
@@ -25,9 +25,8 @@ TEST(DseCandidatesTest, AllCandidatesSatisfyConstraints) {
 }
 
 TEST(DseCandidatesTest, PynqHasFewerCandidatesThanVu9p) {
-  const auto small =
-      DseEngine(PynqZ1Spec()).EnumerateCandidates(DseOptions{});
-  const auto big = DseEngine(Vu9pSpec()).EnumerateCandidates(DseOptions{});
+  const auto small = DseEngine(PynqZ1Spec()).EnumerateCandidates();
+  const auto big = DseEngine(Vu9pSpec()).EnumerateCandidates();
   EXPECT_LT(small.size(), big.size());
 }
 
@@ -144,35 +143,20 @@ TEST(DseOptionsTest, InvalidOptionsThrowInsteadOfEmptySearch) {
   const DseEngine dse(Vu9pSpec());
   const Model m = BuildTinyCnn();
 
-  DseOptions bad_ni;
-  bad_ni.max_ni = 0;
-  EXPECT_THROW(dse.Explore(m, bad_ni), InvalidArgument);
-  EXPECT_THROW(dse.EnumerateCandidates(bad_ni), InvalidArgument);
-
-  DseOptions bad_pi;
-  bad_pi.max_pi = -2;
-  EXPECT_THROW(dse.Explore(m, bad_pi), InvalidArgument);
-  EXPECT_THROW(dse.ExploreFrontier(m, bad_pi), InvalidArgument);
-
-  DseOptions bad_tie;
-  bad_tie.tie_fraction = -0.1;
-  EXPECT_THROW(dse.Explore(m, bad_tie), InvalidArgument);
-
   DseOptions bad_threads;
   bad_threads.num_threads = -1;
   EXPECT_THROW(dse.Explore(m, bad_threads), InvalidArgument);
+  EXPECT_THROW(dse.ExploreFrontier(m, bad_threads), InvalidArgument);
 
   AccelConfig cfg;
   double cycles = 0;
-  EXPECT_THROW(dse.BestMapping(m, cfg, bad_ni, &cycles), InvalidArgument);
+  EXPECT_THROW(dse.BestMapping(m, cfg, bad_threads, &cycles),
+               InvalidArgument);
 }
 
 TEST(DseOptionsTest, ValidOptionsPassValidation) {
   DseOptions opts;  // defaults
   EXPECT_NO_THROW(opts.Validate());
-  opts.max_ni = 1;
-  opts.max_pi = 1;
-  opts.tie_fraction = 0;
   opts.num_threads = 0;  // 0 = hardware concurrency, explicitly legal
   EXPECT_NO_THROW(opts.Validate());
 }

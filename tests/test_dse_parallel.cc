@@ -169,9 +169,14 @@ TEST(DseParallelTest, MemoCacheWarmVsColdIdentical) {
       EXPECT_GT(engine.cache_entries(), 0u);
       // ResNet stages repeat layer geometries, so even a cold exploration
       // hits.
-      EXPECT_GT(engine.cache_stats().hits, 0);
+      const auto after_cold = engine.cache_stats();
+      EXPECT_GT(after_cold.hits, 0);
 
+      // The per-layer memo answers a re-exploration: every query hits, and
+      // no Eq. 12-15 evaluation runs again.
       const DseFrontier warm = engine.ExploreFrontier(model, MemoOptions());
+      EXPECT_GT(engine.cache_stats().hits, after_cold.hits);
+      EXPECT_EQ(engine.cache_stats().misses, after_cold.misses);
       ExpectSameFrontier(cold, warm);
       ExpectSameFrontier(ExploreUncached(*spec, model), cold);
     }

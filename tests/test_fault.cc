@@ -144,7 +144,7 @@ TEST(FaultPlanTest, ScheduleBytesAreStableAcrossThreadsAndRouterVolume) {
 
 TEST(DramFaultTest, FiresOnceAtThresholdWithModuloAddressing) {
   DramModel dram(64);
-  dram.Write(5, 100);
+  dram.WriteRun(5, 1)[0] = 100;
   const std::int64_t base_traffic = dram.words_read() + dram.words_written();
   // addr 69 % 64 = 5; fires once the cumulative count reaches the
   // threshold, on the next access of any kind.

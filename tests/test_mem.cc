@@ -4,10 +4,9 @@
 #include <set>
 
 #include "common/check.h"
-#include "common/prng.h"
 #include "mem/dram_model.h"
-#include "mem/layout.h"
 #include "mem/onchip_buffer.h"
+#include "runtime/runtime.h"
 
 namespace hdnn {
 namespace {
@@ -24,31 +23,14 @@ TEST(DramModelTest, NonPositiveSizeThrowsWithoutAllocating) {
 
 TEST(DramModelTest, ReadWriteRoundTrip) {
   DramModel dram(128);
-  dram.Write(5, -1234);
+  dram.WriteRun(5, 1)[0] = -1234;
   EXPECT_EQ(dram.Read(5), -1234);
 }
 
 TEST(DramModelTest, OutOfRangeThrows) {
   DramModel dram(16);
   EXPECT_THROW(dram.Read(16), InvalidArgument);
-  EXPECT_THROW(dram.Write(-1, 0), InvalidArgument);
-}
-
-TEST(DramModelTest, BlockTransfer) {
-  DramModel dram(64);
-  std::vector<std::int16_t> data{1, 2, 3, 4};
-  dram.WriteBlock(10, data);
-  std::vector<std::int16_t> out(4);
-  dram.ReadBlock(10, out);
-  EXPECT_EQ(out, data);
-}
-
-TEST(DramModelTest, Word32RoundTrip) {
-  DramModel dram(8);
-  for (std::int32_t v : {0, 1, -1, 65535, -65536, INT32_MAX, INT32_MIN}) {
-    dram.Write32(2, v);
-    EXPECT_EQ(dram.Read32(2), v) << v;
-  }
+  EXPECT_THROW(dram.WriteRun(-1, 1), InvalidArgument);
 }
 
 TEST(DramModelTest, BulkRunsValidateAtTheLastWord) {
@@ -75,27 +57,15 @@ TEST(DramModelTest, ZeroLengthRunsAreLegalAndFree) {
   EXPECT_TRUE(dram.ViewRun(16, 0).empty());
   EXPECT_THROW(dram.ReadRun(17, 0), InvalidArgument);
   EXPECT_THROW(dram.WriteRun(-1, 0), InvalidArgument);
-  dram.ReadBlock(16, std::span<std::int16_t>{});
-  dram.WriteBlock(16, std::span<const std::int16_t>{});
   EXPECT_EQ(dram.words_read(), 0);
   EXPECT_EQ(dram.words_written(), 0);
-}
-
-TEST(DramModelTest, Read32StraddlingEndOfMemoryThrows) {
-  DramModel dram(8);
-  dram.Write32(6, 0x12345678);  // last legal little-endian pair
-  EXPECT_EQ(dram.Read32(6), 0x12345678);
-  // A pair whose low word is the last word would read its high word one
-  // past the end.
-  EXPECT_THROW(dram.Read32(7), InvalidArgument);
-  EXPECT_THROW(dram.Write32(7, 1), InvalidArgument);
 }
 
 TEST(DramModelTest, BulkAndPerWordPathsCountStatsIdentically) {
   DramModel per_word(64);
   DramModel bulk(64);
   for (std::int64_t i = 0; i < 10; ++i) {
-    per_word.Write(3 + i, static_cast<std::int16_t>(100 + i));
+    per_word.WriteRun(3 + i, 1)[0] = static_cast<std::int16_t>(100 + i);
   }
   const auto wr = bulk.WriteRun(3, 10);
   for (std::int64_t i = 0; i < 10; ++i) {
@@ -120,8 +90,7 @@ TEST(DramModelTest, BulkAndPerWordPathsCountStatsIdentically) {
 
 TEST(DramModelTest, StatisticsCount) {
   DramModel dram(32);
-  dram.ResetStats();
-  dram.Write(0, 1);
+  dram.WriteRun(0, 1)[0] = 1;
   dram.Read(0);
   dram.Read(0);
   EXPECT_EQ(dram.words_written(), 1);
@@ -130,7 +99,9 @@ TEST(DramModelTest, StatisticsCount) {
 
 TEST(DramModelTest, ResetKeepsOnlyThePrefix) {
   DramModel dram(16);
-  for (int a = 0; a < 16; ++a) dram.Write(a, static_cast<std::int16_t>(a + 1));
+  for (int a = 0; a < 16; ++a) {
+    dram.WriteRun(a, 1)[0] = static_cast<std::int16_t>(a + 1);
+  }
   dram.Reset(16, /*keep_words=*/5);
   for (int a = 0; a < 16; ++a) {
     EXPECT_EQ(dram.Read(a), a < 5 ? a + 1 : 0) << "word " << a;
@@ -148,94 +119,51 @@ TEST(DramModelTest, ResetKeepsOnlyThePrefix) {
   EXPECT_THROW(dram.Reset(24, -1), InvalidArgument);
 }
 
-TEST(DramModelTest, AllocatorBumpsAndChecks) {
-  DramModel dram(100);
-  EXPECT_EQ(dram.Allocate(40), 0);
-  EXPECT_EQ(dram.Allocate(40), 40);
-  EXPECT_THROW(dram.Allocate(40), CapacityError);
+TEST(DramModelTest, WordPairCodecRoundTripsLowWordFirst) {
+  std::int16_t words[2];
+  for (std::int32_t v : {0, 1, -1, 65535, -65536, INT32_MAX, INT32_MIN}) {
+    StoreWordPair(words, v);
+    EXPECT_EQ(LoadWordPair(words), v) << v;
+  }
+  StoreWordPair(words, 0x12345678);
+  EXPECT_EQ(words[0], 0x5678);
+  EXPECT_EQ(words[1], 0x1234);
 }
 
 // --- layouts (paper Fig. 5) ---
 
-TEST(LayoutTest, SpatLayoutIsChannelInnermost) {
-  // addr(c,h,w) = (h*W + w)*C + c
-  EXPECT_EQ(FmapAddr(ConvMode::kSpatial, 0, 0, 0, 4, 8, 8), 0);
-  EXPECT_EQ(FmapAddr(ConvMode::kSpatial, 1, 0, 0, 4, 8, 8), 1);
-  EXPECT_EQ(FmapAddr(ConvMode::kSpatial, 0, 0, 1, 4, 8, 8), 4);
-  EXPECT_EQ(FmapAddr(ConvMode::kSpatial, 0, 1, 0, 4, 8, 8), 32);
-}
-
-TEST(LayoutTest, WinoLayoutIsChannelOutermost) {
-  // addr(c,h,w) = (c*H + h)*W + w
-  EXPECT_EQ(FmapAddr(ConvMode::kWinograd, 0, 0, 1, 4, 8, 8), 1);
-  EXPECT_EQ(FmapAddr(ConvMode::kWinograd, 0, 1, 0, 4, 8, 8), 8);
-  EXPECT_EQ(FmapAddr(ConvMode::kWinograd, 1, 0, 0, 4, 8, 8), 64);
-}
-
-TEST(LayoutTest, AddressesArePermutation) {
+TEST(LayoutTest, StagedFmapFollowsBothFig5Formulas) {
+  // C x H x W = 3 x 4 x 5, padded to Cp = 4 channels; element (c, h, w)
+  // holds a value that names it.
+  constexpr int C = 3, Cp = 4, H = 4, W = 5;
+  Tensor<std::int16_t> fmap(Shape{C, H, W});
+  for (int c = 0; c < C; ++c) {
+    for (int h = 0; h < H; ++h) {
+      for (int w = 0; w < W; ++w) {
+        fmap.at(c, h, w) = static_cast<std::int16_t>(100 * c + 10 * h + w);
+      }
+    }
+  }
+  constexpr std::int64_t kBase = 16;
   for (ConvMode layout : {ConvMode::kSpatial, ConvMode::kWinograd}) {
-    std::set<std::int64_t> seen;
-    for (int c = 0; c < 3; ++c) {
-      for (int h = 0; h < 4; ++h) {
-        for (int w = 0; w < 5; ++w) {
-          const auto addr = FmapAddr(layout, c, h, w, 3, 4, 5);
-          EXPECT_GE(addr, 0);
-          EXPECT_LT(addr, 60);
-          EXPECT_TRUE(seen.insert(addr).second) << "duplicate address";
+    SCOPED_TRACE(ToString(layout));
+    DramModel dram(256);
+    StageInputFmap(dram, kBase, layout, fmap, Cp);
+    const auto image = dram.ViewRun(kBase, Cp * H * W);
+    for (int c = 0; c < Cp; ++c) {
+      for (int h = 0; h < H; ++h) {
+        for (int w = 0; w < W; ++w) {
+          // SPAT is channel-innermost, WINO channel-outermost.
+          const int addr = layout == ConvMode::kSpatial
+                               ? (h * W + w) * Cp + c
+                               : (c * H + h) * W + w;
+          const int want = c < C ? 100 * c + 10 * h + w : 0;
+          EXPECT_EQ(image[static_cast<std::size_t>(addr)], want)
+              << "(" << c << "," << h << "," << w << ")";
         }
       }
     }
-    EXPECT_EQ(seen.size(), 60u);
   }
-}
-
-TEST(LayoutTest, StoreLoadRoundTripBothLayouts) {
-  Prng prng(3);
-  Tensor<std::int16_t> fmap(Shape{3, 5, 4});
-  fmap.FillRandomInt(prng, -100, 100);
-  for (ConvMode layout : {ConvMode::kSpatial, ConvMode::kWinograd}) {
-    DramModel dram(256);
-    StoreFmap(dram, 16, layout, fmap);
-    const auto back = LoadFmap(dram, 16, layout, 3, 5, 4);
-    EXPECT_EQ(back, fmap);
-  }
-}
-
-TEST(LayoutTest, CrossLayoutReadIsReordered) {
-  Tensor<std::int16_t> fmap(Shape{2, 2, 2});
-  for (std::int64_t i = 0; i < 8; ++i) fmap.flat(i) = static_cast<std::int16_t>(i);
-  DramModel dram(64);
-  StoreFmap(dram, 0, ConvMode::kSpatial, fmap);
-  const auto wrong = LoadFmap(dram, 0, ConvMode::kWinograd, 2, 2, 2);
-  EXPECT_NE(wrong, fmap);  // layouts genuinely differ
-}
-
-TEST(LayoutTest, OutOfBoundsCoordinateThrows) {
-  EXPECT_THROW(FmapAddr(ConvMode::kSpatial, 4, 0, 0, 4, 8, 8),
-               InvalidArgument);
-}
-
-// --- on-chip buffers ---
-
-TEST(PingPongBufferTest, HalvesAreIndependent) {
-  PingPongBuffer buf("test", 16);
-  buf.Write(0, 3, 111);
-  buf.Write(1, 3, 222);
-  EXPECT_EQ(buf.Read(0, 3), 111);
-  EXPECT_EQ(buf.Read(1, 3), 222);
-}
-
-TEST(PingPongBufferTest, CapacityEnforced) {
-  PingPongBuffer buf("test", 8);
-  EXPECT_THROW(buf.Write(0, 8, 1), InvalidArgument);
-  EXPECT_THROW(buf.Read(2, 0), InvalidArgument);
-}
-
-TEST(PingPongBufferTest, FillHalf) {
-  PingPongBuffer buf("test", 4);
-  buf.FillHalf(0, 9);
-  EXPECT_EQ(buf.Read(0, 3), 9);
-  EXPECT_EQ(buf.Read(1, 3), 0);
 }
 
 // --- Table 1 partition factors ---

@@ -214,7 +214,8 @@ TEST(ResidentWeightsTest, WarmExecuteStagesNothing) {
   EXPECT_EQ(after.output, fx.Golden(fx.cm, input));
 
   // A write through dram() between runs is seen too.
-  rt.dram()->Write(0, rt.dram()->ViewRun(0, 1)[0]);
+  const std::int16_t word0 = rt.dram()->ViewRun(0, 1)[0];
+  rt.dram()->WriteRun(0, 1)[0] = word0;
   rt.Execute(fx.model, fx.cm, fx.weights, input);
   EXPECT_EQ(rt.dram()->words_written(), cold_written);
 }

@@ -5,6 +5,8 @@
 // transforms of paper Fig. 5).
 #include <gtest/gtest.h>
 
+#include "dse/search.h"
+#include "frontend/parser.h"
 #include "nn/builders.h"
 #include "testing_util.h"
 #include "winograd/decompose.h"
@@ -311,6 +313,30 @@ TEST(TimingTest, CompletionTimesAreMonotonicPerModule) {
   }
   EXPECT_NEAR(sum, r.report.stats.total_cycles,
               0.01 * r.report.stats.total_cycles + 10);
+}
+
+TEST(CodegenFieldTest, OversizedGeometryIsATypedErrorNotATruncation) {
+  // Each geometry overflows an instruction field's C++ type (a 16-bit fmap
+  // width or height, an 8-bit stride). Wrapped, the value would fit the
+  // codec's bit width and compile a program that computes something else.
+  for (const char* text : {
+           "model x\ninput 4 3 65540\nconv name=a out=4 k=3\n",
+           "model x\ninput 4 65540 3\nconv name=a out=4 k=3\n",
+           "model x\ninput 4 600 600\nconv name=a out=4 k=3 s=257 p=0\n",
+       }) {
+    SCOPED_TRACE(text);
+    const Model m = ParseModelText(text);
+    const DseResult r = DseEngine(PynqZ1Spec()).Explore(m);
+    const Compiler compiler(r.config, PynqZ1Spec());
+    try {
+      compiler.Compile(m, r.mapping);
+      ADD_FAILURE() << "compiled a geometry its instruction fields cannot hold";
+    } catch (const InternalError& e) {
+      ADD_FAILURE() << "internal invariant instead of a typed error: "
+                    << e.what();
+    } catch (const Error&) {
+    }
+  }
 }
 
 TEST(TimingTest, WinogradFasterThanSpatialFor3x3) {

@@ -175,13 +175,10 @@ TEST(RuntimeReuseTest, RepeatedExecutesAreBitAndCycleIdentical) {
 
 TEST(DramModelResetTest, ResetZeroesAndResizesReusingStorage) {
   DramModel dram(64);
-  dram.Write(10, 1234);
-  dram.Allocate(32);
-  EXPECT_EQ(dram.allocated_words(), 32);
+  dram.WriteRun(10, 1)[0] = 1234;
 
   dram.Reset(128);
   EXPECT_EQ(dram.size_words(), 128);
-  EXPECT_EQ(dram.allocated_words(), 0);
   EXPECT_EQ(dram.words_written(), 0);
   EXPECT_EQ(dram.Read(10), 0) << "Reset must zero previous contents";
 
