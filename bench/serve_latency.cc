@@ -1,23 +1,25 @@
-// Tail latency of the async serving front door under open-loop load.
+// Tail latency of the serving front door under open-loop load, in virtual
+// time.
 //
 // A seeded load generator precomputes a Poisson (or bursty, two-state MMPP
-// style) arrival schedule, replays it against InferenceServer::Submit on a
-// dedicated thread, and measures per-request latency FROM THE SCHEDULED
-// ARRIVAL TIME — a late submit counts against the server, so the numbers are
-// free of coordinated omission. The server runs in device-paced mode: each
-// worker stands in for one modeled accelerator instance completing items at
+// style) arrival schedule and replays it through InferenceServer::ServeTrace
+// with 1 or 4 virtual drainers. The server runs in device-paced mode: each
+// drainer stands in for one modeled accelerator instance completing items at
 // the profiled per-item device latency, so the measurement exercises the
 // queueing/batching/shedding front door at realistic request rates instead
-// of the host cost of the cycle simulator.
+// of the host cost of the cycle simulator. Latency is virtual time measured
+// from the scheduled arrival, so the report is deterministic: a rerun writes
+// the same bytes.
 //
 // Sweeps (offered load is expressed relative to C1, the modeled single-
 // instance capacity 1/device_seconds):
-//   * offered QPS {0.5, 1, 2, 3} x C1 for 1 and 4 workers (Poisson);
-//   * batcher settings (max_batch, max_queue_delay) at 2 x C1, 4 workers;
-//   * bursty arrivals at 2 x C1 for 1 and 4 workers.
-// Each cell reports achieved QPS, p50/p99/p999 latency, mean batch size and
-// shed rate. The headline compares 4-worker vs 1-worker achieved QPS at
-// 3 x C1 (below the 4-worker saturation point).
+//   * offered QPS {0.5, 1, 2, 3} x C1 for 1 and 4 drainers (Poisson);
+//   * batcher settings (max_batch, max_queue_delay) at 2 x C1, 4 drainers;
+//   * bursty arrivals at 2 x C1 for 1 and 4 drainers.
+// Each cell reports achieved QPS (served requests over the virtual instant
+// the last request resolves), p50/p99/p999 latency, mean batch size and
+// shed rate. The headline compares 4-drainer vs 1-drainer achieved QPS at
+// 3 x C1 (below the 4-drainer saturation point).
 //
 // InferenceServerTraceTest.FunctionalTraceBitIdenticalToSequential
 // (tests/test_server.cc) replays a fixed trace on this deployment and checks
@@ -30,9 +32,8 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <future>
+#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/prng.h"
@@ -115,10 +116,8 @@ struct CellResult {
   double shed_rate = 0;
 };
 
-/// One open-loop measurement: build a fresh server, replay the schedule on a
-/// submit thread, collect every future. Latency is measured from the
-/// SCHEDULED arrival: lateness of the submit thread is charged to the
-/// system, not silently dropped (no coordinated omission).
+/// One open-loop replay: a fresh server with `opts` serves the schedule as
+/// a trace of one input. Latency is counted from the scheduled arrival.
 CellResult RunCell(InferenceEngine& engine, const Model& model,
                    const AccelConfig& cfg,
                    const std::vector<LayerMapping>& mapping,
@@ -130,52 +129,42 @@ CellResult RunCell(InferenceEngine& engine, const Model& model,
   InferenceServer server(engine, opts);
   const ModelHandle h = server.RegisterModel(model, cfg, mapping, weights);
 
-  const std::size_t n = schedule.size();
-  std::vector<std::future<ItemReport>> futures(n);
-  std::vector<double> lateness(n, 0);
-
-  const auto epoch = std::chrono::steady_clock::now();
-  std::thread submitter([&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto due =
-          epoch + std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(schedule[i]));
-      std::this_thread::sleep_until(due);
-      lateness[i] = std::max(
-          0.0, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             due)
-                   .count());
-      futures[i] = server.Submit(h, input, deadline_seconds);
-    }
-  });
-  submitter.join();
+  std::vector<InferenceServer::TraceArrival> trace;
+  trace.reserve(schedule.size());
+  for (double at : schedule) trace.push_back({at, 0, deadline_seconds});
+  const InferenceServer::TraceReport report = server.ServeTrace(
+      h, std::span<const Tensor<std::int16_t>>(&input, 1), trace);
 
   std::vector<double> latencies_ms;
-  latencies_ms.reserve(n);
-  int ok = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const ItemReport r = futures[i].get();
+  latencies_ms.reserve(trace.size());
+  int ok = 0, shed = 0;
+  double end_s = 0;  // virtual instant the last request resolves
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const ItemReport& r = report.items[i];
+    end_s = std::max(end_s, trace[i].at_seconds + r.total_seconds);
     if (r.outcome == ServeOutcome::kOk) {
       ++ok;
-      latencies_ms.push_back((lateness[i] + r.total_seconds) * 1e3);
+      latencies_ms.push_back(r.total_seconds * 1e3);
+    } else if (r.outcome == ServeOutcome::kRejected ||
+               r.outcome == ServeOutcome::kExpired) {
+      ++shed;
     }
   }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch)
-          .count();
-  const ServerStats stats = server.stats(h);
-  server.Stop();
+  int batched_items = 0;
+  for (int size : report.batch_sizes) batched_items += size;
 
   std::sort(latencies_ms.begin(), latencies_ms.end());
   CellResult out;
-  out.reqs = static_cast<int>(n);
-  out.achieved_qps = elapsed > 0 ? ok / elapsed : 0;
+  out.reqs = static_cast<int>(trace.size());
+  out.achieved_qps = end_s > 0 ? ok / end_s : 0;
   out.p50_ms = Percentile(latencies_ms, 0.50);
   out.p99_ms = Percentile(latencies_ms, 0.99);
   out.p999_ms = Percentile(latencies_ms, 0.999);
-  out.mean_batch = stats.mean_batch_size();
-  out.shed_rate = stats.shed_rate();
+  out.mean_batch = report.batch_sizes.empty()
+                       ? 0
+                       : static_cast<double>(batched_items) /
+                             static_cast<double>(report.batch_sizes.size());
+  out.shed_rate = out.reqs > 0 ? static_cast<double>(shed) / out.reqs : 0;
   return out;
 }
 
@@ -321,7 +310,7 @@ int main(int argc, char** argv) {
   }
   Emit("\n  ],\n");
 
-  // --- headline: host-side wall-clock scaling of the front door ---
+  // --- headline: virtual-time scaling of the front door with drainers ---
   const double scaling = achieved_1w_at_3x > 0
                              ? achieved_4w_at_3x / achieved_1w_at_3x
                              : 0;

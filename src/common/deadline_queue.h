@@ -1,12 +1,10 @@
 // Deadline-aware bounded FIFO with size- and timeout-triggered batch
 // dispatch — the policy core of the serving front door (runtime/server.h).
 //
-// The container is deliberately NOT thread-safe and works in plain double
-// seconds: the live server wraps it in a per-model mutex and feeds it wall
-// time, while the deterministic trace drainer feeds it virtual time. Both
-// paths therefore share one implementation of admission, shedding and batch
-// composition, which is what makes the deterministic mode a faithful pin of
-// the live batcher's decisions.
+// The container is not thread-safe and works in plain double seconds of
+// virtual time. The server's trace drainers (InferenceServer::ServeTrace)
+// and the fleet simulator (SimulateFleet) both feed it, so they share one
+// implementation of admission, shedding and batch composition.
 //
 // Policy:
 //   * Admission. The queue holds at most `capacity` requests. A push into a
@@ -25,7 +23,6 @@
 #ifndef HDNN_COMMON_DEADLINE_QUEUE_H_
 #define HDNN_COMMON_DEADLINE_QUEUE_H_
 
-#include <cstdint>
 #include <deque>
 #include <limits>
 #include <utility>
@@ -72,16 +69,6 @@ class DeadlineQueue {
   bool empty() const { return entries_.empty(); }
   int size() const { return static_cast<int>(entries_.size()); }
 
-  /// Monotonic shed counters since construction. EvictedCount() counts
-  /// entries displaced by a strictly-more-urgent arrival (AdmitResult::
-  /// kEvicted — NOT rejected pushes, which never entered the queue);
-  /// ExpiredCount() counts entries removed by SweepExpired, whether the
-  /// sweep ran standalone or inside a full-queue Push. The chaos bench and
-  /// the fleet health tripwires read these to tell load-shedding apart from
-  /// deadline decay on a sick shard.
-  std::int64_t EvictedCount() const { return evicted_count_; }
-  std::int64_t ExpiredCount() const { return expired_count_; }
-
   /// Moves every entry expired at `now` into `expired`, preserving FIFO
   /// order among survivors. Returns the number shed.
   int SweepExpired(double now, std::vector<Entry>& expired) {
@@ -95,7 +82,6 @@ class DeadlineQueue {
         ++i;
       }
     }
-    expired_count_ += shed;
     return shed;
   }
 
@@ -103,7 +89,7 @@ class DeadlineQueue {
   /// into `*evicted` (which must be non-null); `expired` receives any
   /// entries shed by the pre-admission expiry sweep regardless of outcome.
   /// `entry` is moved from only when admitted — on kRejected it is left
-  /// intact for the caller to resolve (it still owns its promise).
+  /// intact for the caller to resolve.
   AdmitResult Push(Entry& entry, double now, Entry* evicted,
                    std::vector<Entry>& expired) {
     if (size() >= capacity_) SweepExpired(now, expired);
@@ -119,7 +105,6 @@ class DeadlineQueue {
     }
     if (entry.deadline_s < entries_[latest].deadline_s) {
       HDNN_CHECK(evicted != nullptr) << "eviction needs an out slot";
-      ++evicted_count_;
       *evicted = std::move(entries_[latest]);
       entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(latest));
       entries_.push_back(std::move(entry));
@@ -132,29 +117,21 @@ class DeadlineQueue {
   bool DispatchReady(double now) const {
     if (entries_.empty()) return false;
     if (size() >= max_batch_) return true;
-    // Same expression as NextTriggerTime(): comparing `now` against the
-    // rounded sum keeps the two agreeing at now == NextTriggerTime(), where
-    // the algebraically equal `now - enqueue >= delay` can round false and
-    // livelock a virtual-time loop that advanced to the trigger instant.
+    // Same expression as ReadyTime()'s timeout trigger: comparing `now`
+    // against the rounded sum keeps the two agreeing at the trigger instant,
+    // where the algebraically equal `now - enqueue >= delay` can round false
+    // and livelock a virtual-time loop that advanced to that instant.
     return now >= entries_.front().enqueue_s + max_queue_delay_s_;
-  }
-
-  /// Absolute time the pending timeout trigger fires; kNeverTriggers when
-  /// the queue is empty. A size trigger can fire earlier: ReadyTime() folds
-  /// both triggers into one dispatch instant.
-  double NextTriggerTime() const {
-    if (entries_.empty()) return kNeverTriggers;
-    return entries_.front().enqueue_s + max_queue_delay_s_;
   }
 
   /// Earliest instant a batch may dispatch, seen at `now` with no further
   /// admissions: kNeverTriggers when empty, `now` once the size trigger has
-  /// fired, else the timeout trigger. The one dispatch-time rule of every
-  /// virtual-time drainer.
+  /// fired, else the timeout trigger (oldest enqueue + max_queue_delay). The
+  /// one dispatch-time rule of every virtual-time drainer.
   double ReadyTime(double now) const {
     if (entries_.empty()) return kNeverTriggers;
     if (size() >= max_batch_) return now;
-    return NextTriggerTime();
+    return entries_.front().enqueue_s + max_queue_delay_s_;
   }
 
   /// Pops the FIFO prefix of at most `max_batch` entries.
@@ -174,8 +151,6 @@ class DeadlineQueue {
   int max_batch_;
   double max_queue_delay_s_;
   std::deque<Entry> entries_;
-  std::int64_t evicted_count_ = 0;
-  std::int64_t expired_count_ = 0;
 };
 
 }  // namespace hdnn

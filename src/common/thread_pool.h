@@ -29,7 +29,7 @@ class ThreadPool {
         << "thread pool needs at least one worker, got " << num_threads;
     workers_.reserve(static_cast<std::size_t>(num_threads));
     for (int i = 0; i < num_threads; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+      workers_.emplace_back([this] { RunTasks(); });
     }
   }
 
@@ -66,7 +66,7 @@ class ThreadPool {
   }
 
  private:
-  void WorkerLoop() {
+  void RunTasks() {
     for (;;) {
       std::function<void()> task;
       {

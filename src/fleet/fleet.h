@@ -3,7 +3,7 @@
 //
 // SimulateFleet is a single-threaded virtual-time event simulation of the
 // whole fleet: per-shard per-class DeadlineQueues (the same policy object as
-// the live InferenceServer), NI worker instances per shard paced on
+// InferenceServer::ServeTrace), NI worker instances per shard paced on
 // caller-supplied device seconds, the weighted drain scan (PickReadyQueue)
 // for intra-shard cross-class fairness, and the deterministic Router for
 // dispatch. No wall clock enters, so the decision vector and every statistic
@@ -12,9 +12,11 @@
 //
 // Tie rule (mirrors InferenceServer::ServeTrace): when a dispatch and an
 // arrival fall on the same virtual instant, the dispatch happens first and
-// the arrival joins the next batch. Dispatch ties across shards break
-// toward the lowest shard index; within the shard, the weighted drain scan
-// picks the class.
+// the arrival joins the next batch. A batch goes to the shard's earliest-
+// free worker, lowest index on ties, as a ServeTrace batch goes to its
+// earliest-free drainer. Dispatch ties across shards break toward the
+// lowest shard index; within the shard, the weighted drain scan picks the
+// class.
 #ifndef HDNN_FLEET_FLEET_H_
 #define HDNN_FLEET_FLEET_H_
 

@@ -59,6 +59,11 @@ struct ConvLayer {
     HDNN_CHECK(kernel_h > 0 && kernel_w > 0) << name << ": bad kernel";
     HDNN_CHECK(stride >= 1) << name << ": bad stride";
     HDNN_CHECK(pad >= 0) << name << ": bad pad";
+    // A pad wider than the kernel puts whole output windows inside the
+    // padding, which the compiler's input-group geometry cannot represent.
+    HDNN_CHECK(pad <= kernel_h && pad <= kernel_w)
+        << name << ": pad " << pad << " exceeds kernel " << kernel_h << "x"
+        << kernel_w;
     HDNN_CHECK(pool == 1 || pool == 2 || pool == 3 || pool == 4)
         << name << ": unsupported pool window " << pool;
     if (is_fc) {

@@ -11,7 +11,8 @@
 //     every Runtime owns its DramModel, so workers are share-nothing and a
 //     batch executes concurrently with bit-identical results to sequential
 //     Runtime::Execute calls — and concurrent ExecuteBatch callers overlap
-//     instead of serializing on an engine-wide lock.
+//     instead of serializing on an engine-wide lock. The serving layer
+//     (runtime/server.h) checks its Runtimes out of the same pool.
 //
 // Throughput is reported in modeled accelerator time: the batch makespan
 // when the W workers are viewed as W parallel accelerator instances, i.e.
@@ -99,9 +100,9 @@ class InferenceEngine {
   std::int64_t cache_misses() const;
   std::size_t cache_size() const;
 
-  /// Shared per-config Runtime pool (the serving layer drains its batches
-  /// through the same pool, so engine batches and served requests reuse one
-  /// set of simulator arenas).
+  /// Shared per-config Runtime pool (ServeTrace checks its Runtime out of
+  /// the same pool, so engine batches and served requests reuse one set of
+  /// simulator arenas).
   RuntimePool& runtime_pool() { return rt_pool_; }
 
  private:
@@ -122,7 +123,7 @@ class InferenceEngine {
   ThreadPool pool_;
   /// Per-config Runtime pool: ExecuteBatch checks out one Runtime per
   /// participating worker for the duration of the batch, so concurrent
-  /// batches (and the serving layer) never contend on a shared array.
+  /// batches never contend on a shared array.
   RuntimePool rt_pool_;
 
   mutable std::mutex cache_mu_;

@@ -4,18 +4,6 @@
 
 namespace hdnn {
 
-namespace {
-
-inline void HashMix(std::uint64_t& h, std::uint64_t v) {
-  // FNV-1a over the 8 bytes of v (same scheme as the engine's cache key).
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-}
-
-}  // namespace
-
 std::uint64_t AccelConfigHashValue(const AccelConfig& cfg) {
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
   HashMix(h, static_cast<std::uint64_t>(cfg.pi));

@@ -1,17 +1,18 @@
 // Shared pool of per-config Runtime instances (each owning its DramModel +
 // Accelerator arenas), checked out for the duration of one batch or one
-// serving drain and returned for reuse.
+// ServeTrace and returned for reuse.
 //
-// This replaces the InferenceEngine's former whole-engine lock around a
-// fixed runtimes_ array: concurrent ExecuteBatch callers and serving worker
-// loops each check out their own share-nothing Runtime, so they overlap
-// instead of serializing on the engine. Runtime reuse is bit- and
-// cycle-invisible (DramModel::Reset + per-run Accelerator state reset, see
-// DESIGN.md Sec. 4), so which physical Runtime a request lands on never
-// affects results.
+// Concurrent ExecuteBatch callers each check out their own share-nothing
+// Runtimes, so they overlap instead of serializing on the engine, and a
+// pooled Runtime keeps its weight image resident from one checkout to the
+// next (a server's repeated ServeTraces stage weights once). Runtime reuse
+// is bit- and cycle-invisible (DramModel::Reset + per-run Accelerator state
+// reset, see DESIGN.md Sec. 4), so which physical Runtime a request lands
+// on never affects results.
 #ifndef HDNN_RUNTIME_RUNTIME_POOL_H_
 #define HDNN_RUNTIME_RUNTIME_POOL_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -22,6 +23,15 @@
 #include "runtime/runtime.h"
 
 namespace hdnn {
+
+/// One FNV-1a step over the 8 bytes of `v`: the mixer behind
+/// AccelConfigHashValue, ModelStructuralHash and the engine's cache key.
+inline void HashMix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+}
 
 /// FNV-1a fingerprint of every AccelConfig field (tracked by the
 /// sizeof tripwire in test_engine's cache-key audit, which exercises this

@@ -476,12 +476,11 @@ TEST(RuntimePoolTest, CheckoutReusesIdleRuntimesPerConfig) {
   EXPECT_EQ(pool.idle_count(), 3u);
 }
 
-TEST(RuntimePoolTest, LeaseReuseUnderConcurrentServerChurn) {
-  // Two servers share one engine — and therefore one RuntimePool. Churning
-  // bursts through both concurrently must stay bit-identical to sequential
-  // execution, and the pool must recycle idle Runtimes between drains:
-  // constructions are bounded by peak concurrent checkouts (the four server
-  // workers plus the golden run), never by the number of batches served.
+TEST(RuntimePoolTest, ServersSharingAnEngineReuseOnePooledRuntime) {
+  // Two servers share one engine — and therefore one RuntimePool. Many
+  // interleaved ServeTraces through both must stay bit-identical to
+  // sequential execution, and each trace must check the one idle Runtime
+  // out again (weight image resident) instead of building its own.
   Model model = BuildTinyCnn();
   const AccelConfig cfg = TestConfig();
   auto mapping =
@@ -491,49 +490,42 @@ TEST(RuntimePoolTest, LeaseReuseUnderConcurrentServerChurn) {
 
   constexpr int kItems = 24;
   const auto inputs = MakeBatch(model, kItems, 11);
-  const BatchReport golden = engine.ExecuteBatch(
-      model, cfg, mapping, weights, inputs, /*functional=*/true);
+  const auto cm = engine.GetOrCompile(model, cfg, mapping);
+  Runtime sequential(cfg, TestSpec());  // outside the pool
+  std::vector<RunReport> golden;
+  for (const auto& input : inputs) {
+    golden.push_back(sequential.Execute(model, *cm, weights, input));
+  }
 
   ServerOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 3;
-  opts.max_queue_delay_seconds = 0;  // drain as fast as workers free up
+  opts.max_queue_delay_seconds = 0;  // dispatch as soon as a drainer frees
   opts.mode = ExecMode::kFunctional;
   InferenceServer server_a(engine, opts);
   InferenceServer server_b(engine, opts);
   const ModelHandle ha = server_a.RegisterModel(model, cfg, mapping, weights);
   const ModelHandle hb = server_b.RegisterModel(model, cfg, mapping, weights);
+  std::vector<InferenceServer::TraceArrival> trace;
+  for (int i = 0; i < kItems; ++i) trace.push_back({0.0, i});
 
   constexpr int kRounds = 6;
   for (int round = 0; round < kRounds; ++round) {
-    std::vector<std::future<ItemReport>> fa, fb;
-    for (int i = 0; i < kItems; ++i) {
-      fa.push_back(server_a.Submit(ha, inputs[static_cast<std::size_t>(i)]));
-      fb.push_back(server_b.Submit(hb, inputs[static_cast<std::size_t>(i)]));
-    }
-    for (int i = 0; i < kItems; ++i) {
-      ItemReport ra = fa[static_cast<std::size_t>(i)].get();
-      ItemReport rb = fb[static_cast<std::size_t>(i)].get();
-      ASSERT_EQ(ra.outcome, ServeOutcome::kOk);
-      ASSERT_EQ(rb.outcome, ServeOutcome::kOk);
-      const auto& want = golden.items[static_cast<std::size_t>(i)].output;
-      EXPECT_EQ(ra.run.output, want)
+    const auto ra = server_a.ServeTrace(ha, inputs, trace);
+    const auto rb = server_b.ServeTrace(hb, inputs, trace);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      ASSERT_EQ(ra.items[i].outcome, ServeOutcome::kOk);
+      ASSERT_EQ(rb.items[i].outcome, ServeOutcome::kOk);
+      EXPECT_EQ(ra.items[i].run.output, golden[i].output)
           << "server A round " << round << " item " << i;
-      EXPECT_EQ(rb.run.output, want)
+      EXPECT_EQ(rb.items[i].run.output, golden[i].output)
           << "server B round " << round << " item " << i;
+      EXPECT_EQ(ra.items[i].run.stats.total_cycles,
+                golden[i].stats.total_cycles);
     }
   }
-  server_a.Stop();
-  server_b.Stop();
-
-  const std::int64_t batches = server_a.stats(ha).batches +
-                               server_b.stats(hb).batches;
-  EXPECT_GE(batches, 2 * kRounds);
-  // 2 workers per server + up to 2 for the golden ExecuteBatch; well under
-  // one Runtime per batch if leases were not recycled.
-  EXPECT_LE(engine.runtime_pool().built_count(), 6)
-      << "pool rebuilt Runtimes instead of reusing idle leases across "
-      << batches << " batches";
+  EXPECT_EQ(engine.runtime_pool().built_count(), 1)
+      << "every registration and trace must reuse the one idle Runtime";
 }
 
 TEST(InferenceEngineTest, StructuralHashIgnoresNameButNotGeometry) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "frontend/parser.h"
 #include "nn/builders.h"
 
@@ -194,6 +196,24 @@ TEST(ModelParserTest, HugePadIsATypedErrorNotAnOverflow) {
   EXPECT_THROW(ParseModelText("model x\ninput 3 8 8\n"
                               "conv name=a out=4 p=2000000000\n"),
                ParseError);
+}
+
+TEST(ModelParserTest, PadWiderThanKernelIsAParseError) {
+  // Such a pad puts whole output windows inside the padding; it must fail
+  // at parse time, naming the layer, instead of reaching the compiler.
+  try {
+    ParseModelText("model x\ninput 4 4 4\nconv name=a out=4 k=3 p=260\n");
+    FAIL() << "expected a ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("a: pad 260 exceeds kernel 3x3"),
+              std::string::npos)
+        << e.what();
+  }
+  // pad == kernel stays legal.
+  EXPECT_EQ(ParseModelText("model x\ninput 4 4 4\nconv name=a out=4 k=1 p=1\n")
+                .layer(0)
+                .pad,
+            1);
 }
 
 TEST(FpgaSpecParserTest, ParsesFullSpec) {

@@ -51,6 +51,19 @@ TEST(ConvLayerTest, PoolMustTile) {
   EXPECT_THROW(l.Output(FmapShape{4, 16, 16}), InvalidArgument);
 }
 
+TEST(ConvLayerTest, PadWiderThanKernelRejected) {
+  ConvLayer l;
+  l.name = "l";
+  l.in_channels = 4;
+  l.out_channels = 4;
+  l.pad = l.kernel_h + 1;
+  EXPECT_THROW(l.Validate(), InvalidArgument);
+  l.pad = l.kernel_h;  // pad == kernel stays legal
+  l.Validate();
+  l.kernel_w = 1;  // the narrower kernel side bounds the pad
+  EXPECT_THROW(l.Validate(), InvalidArgument);
+}
+
 TEST(ConvLayerTest, MacCount) {
   ConvLayer l;
   l.name = "l";

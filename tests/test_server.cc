@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
-#include <future>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -56,8 +53,9 @@ TEST(DeadlineQueueTest, SizeAndTimeoutTriggers) {
   EXPECT_EQ(q.ReadyTime(0.0), kNeverTriggers) << "empty queue";
   EXPECT_EQ(push(1, 0.000), AdmitResult::kAdmitted);
   EXPECT_FALSE(q.DispatchReady(0.005)) << "one waiter, delay not reached";
-  EXPECT_DOUBLE_EQ(q.NextTriggerTime(), 0.010);
-  EXPECT_EQ(q.ReadyTime(0.005), q.NextTriggerTime()) << "timeout gates";
+  EXPECT_DOUBLE_EQ(q.ReadyTime(0.005), 0.010) << "timeout gates";
+  EXPECT_TRUE(q.DispatchReady(q.ReadyTime(0.005)))
+      << "ready at its own trigger instant";
   EXPECT_TRUE(q.DispatchReady(0.010)) << "timeout trigger";
 
   EXPECT_EQ(push(2, 0.001), AdmitResult::kAdmitted);
@@ -161,45 +159,35 @@ TEST(DeadlineQueueTest, ShedCountersAreExactAndMonotonic) {
   DeadlineQueue<int> q(/*capacity=*/3, /*max_batch=*/8, 0.010);
   std::vector<DeadlineQueue<int>::Entry> expired;
   DeadlineQueue<int>::Entry evicted;
-  EXPECT_EQ(q.EvictedCount(), 0);
-  EXPECT_EQ(q.ExpiredCount(), 0);
 
-  // Fill to capacity; admissions never touch the shed counters.
+  // Fill to capacity.
   DeadlineQueue<int>::Entry a{1, 0.0, /*deadline=*/0.100};
   DeadlineQueue<int>::Entry b{2, 0.0, /*deadline=*/0.050};
   DeadlineQueue<int>::Entry c{3, 0.0, /*deadline=*/0.200};
   ASSERT_EQ(q.Push(a, 0.0, &evicted, expired), AdmitResult::kAdmitted);
   ASSERT_EQ(q.Push(b, 0.0, &evicted, expired), AdmitResult::kAdmitted);
   ASSERT_EQ(q.Push(c, 0.0, &evicted, expired), AdmitResult::kAdmitted);
-  EXPECT_EQ(q.EvictedCount(), 0);
-  EXPECT_EQ(q.ExpiredCount(), 0);
 
-  // A strictly-more-urgent arrival evicts the latest-deadline waiter:
-  // exactly one eviction, zero expiries.
+  // A strictly-more-urgent arrival evicts the latest-deadline waiter.
   DeadlineQueue<int>::Entry urgent{4, 0.001, /*deadline=*/0.020};
   ASSERT_EQ(q.Push(urgent, 0.001, &evicted, expired), AdmitResult::kEvicted);
   EXPECT_EQ(evicted.value, 3);
-  EXPECT_EQ(q.EvictedCount(), 1);
-  EXPECT_EQ(q.ExpiredCount(), 0);
 
   // A no-earlier-deadline arrival is rejected without a shed: the waiter
-  // keeps its slot, so neither counter moves.
+  // keeps its slot.
   DeadlineQueue<int>::Entry tie{5, 0.002, /*deadline=*/0.100};
   ASSERT_EQ(q.Push(tie, 0.002, &evicted, expired), AdmitResult::kRejected);
-  EXPECT_EQ(q.EvictedCount(), 1);
-  EXPECT_EQ(q.ExpiredCount(), 0);
+  EXPECT_TRUE(expired.empty());
 
   // A standalone sweep past two deadlines (0.020 and 0.050) sheds exactly
   // those two; the 0.100 waiter survives.
   expired.clear();
   EXPECT_EQ(q.SweepExpired(0.060, expired), 2);
   EXPECT_EQ(expired.size(), 2u);
-  EXPECT_EQ(q.ExpiredCount(), 2);
-  EXPECT_EQ(q.EvictedCount(), 1) << "sweeps never count as evictions";
   ASSERT_EQ(q.size(), 1);
 
-  // The full-queue Push path routes its implicit sweep through the same
-  // counter: refill, then push at a time past one waiter's deadline.
+  // The full-queue Push path sweeps the same way: refill, then push at a
+  // time past one waiter's deadline.
   DeadlineQueue<int>::Entry d{6, 0.060, /*deadline=*/0.070};
   DeadlineQueue<int>::Entry e{7, 0.060, /*deadline=*/0.300};
   ASSERT_EQ(q.Push(d, 0.060, &evicted, expired), AdmitResult::kAdmitted);
@@ -210,13 +198,13 @@ TEST(DeadlineQueueTest, ShedCountersAreExactAndMonotonic) {
       << "the expired waiter's slot is reused";
   EXPECT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0].value, 6);
-  EXPECT_EQ(q.ExpiredCount(), 3);
-  EXPECT_EQ(q.EvictedCount(), 1);
 
-  // Draining is not shedding.
-  (void)q.TakeBatch();
-  EXPECT_EQ(q.EvictedCount(), 1);
-  EXPECT_EQ(q.ExpiredCount(), 3);
+  // Survivors keep FIFO order through the sweeps.
+  const auto batch = q.TakeBatch();
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[0].value, 1);
+  EXPECT_EQ(batch[1].value, 7);
+  EXPECT_EQ(batch[2].value, 8);
 }
 
 // --- server fixture ---
@@ -277,11 +265,10 @@ TEST(InferenceServerTraceTest, BatchCompositionIsDeterministic) {
 }
 
 // Serves `n` arrivals `spacing` seconds apart twice in functional mode on
-// one worker: the batch composition must repeat, and every output must be
-// bit- and cycle-identical to sequential Runtime execution.
+// `opts.num_workers` drainers: the batch composition must repeat, and every
+// output must be bit- and cycle-identical to sequential Runtime execution.
 void ExpectTraceMatchesSequential(ServerFixture& f, ServerOptions opts, int n,
                                   std::uint64_t seed, double spacing) {
-  opts.num_workers = 1;
   opts.mode = ExecMode::kFunctional;
   InferenceServer server(f.engine, opts);
   const ModelHandle h =
@@ -327,6 +314,61 @@ TEST(InferenceServerTraceTest, FunctionalTraceBitIdenticalToSequential) {
   opts.max_batch = 4;
   opts.max_queue_delay_seconds = 0.002;
   ExpectTraceMatchesSequential(pynq, opts, 6, 9000, 0.0005);
+}
+
+TEST(InferenceServerTraceTest,
+     FunctionalTwoDrainerTraceBitIdenticalToSequential) {
+  // Seven same-instant arrivals in batches of two: both drainers start a
+  // batch at t=0 and take turns from there, whatever the device time.
+  ServerFixture f;
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.max_batch = 2;
+  opts.max_queue_delay_seconds = 0.0005;
+  ExpectTraceMatchesSequential(f, opts, 7, 70, 0.0);
+}
+
+TEST(InferenceServerTraceTest, BatchesGoToTheEarliestFreeDrainer) {
+  // Four single-item batches arrive at t=0. One drainer serves them back to
+  // back; two drainers take two each, in dispatch order on ties.
+  ServerFixture f;
+  ServerOptions opts;
+  opts.max_batch = 1;
+  opts.max_queue_delay_seconds = 0.0;
+  opts.mode = ExecMode::kDevicePaced;
+  const auto inputs = MakeInputs(f.model, 1, 30);
+  const std::vector<InferenceServer::TraceArrival> trace = {
+      {0.0, 0}, {0.0, 0}, {0.0, 0}, {0.0, 0}};
+  const auto serve = [&](int drainers) {
+    opts.num_workers = drainers;
+    InferenceServer server(f.engine, opts);
+    const ModelHandle h =
+        server.RegisterModel(f.model, f.cfg, f.mapping, f.weights);
+    return std::make_pair(server.device_seconds_per_item(h),
+                          server.ServeTrace(h, inputs, trace));
+  };
+
+  const auto [dev, one] = serve(1);
+  ASSERT_GT(dev, 0);
+  EXPECT_EQ(one.batch_sizes, (std::vector<int>{1, 1, 1, 1}));
+  const double one_drainer[] = {dev, 2 * dev, 3 * dev, 4 * dev};
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(one.items[i].outcome, ServeOutcome::kOk) << "item " << i;
+    EXPECT_DOUBLE_EQ(one.items[i].total_seconds, one_drainer[i])
+        << "item " << i;
+    EXPECT_EQ(one.items[i].batch_seq, static_cast<std::int64_t>(i));
+  }
+
+  const auto [dev2, two] = serve(2);
+  ASSERT_EQ(dev2, dev);
+  EXPECT_EQ(two.batch_sizes, (std::vector<int>{1, 1, 1, 1}));
+  const double two_drainers[] = {dev, dev, 2 * dev, 2 * dev};
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(two.items[i].outcome, ServeOutcome::kOk) << "item " << i;
+    EXPECT_DOUBLE_EQ(two.items[i].total_seconds, two_drainers[i])
+        << "item " << i;
+    EXPECT_EQ(two.items[i].batch_seq, static_cast<std::int64_t>(i));
+  }
 }
 
 TEST(InferenceServerTraceTest, DeadlinesShedDeterministically) {
@@ -375,48 +417,7 @@ TEST(InferenceServerTraceTest, DeadlinesShedDeterministically) {
   EXPECT_EQ(a.batch_sizes, b.batch_sizes);
 }
 
-// --- live serving ---
-
-TEST(InferenceServerTest, LiveFunctionalServingBitIdenticalToSequential) {
-  ServerFixture f;
-  ServerOptions opts;
-  opts.num_workers = 2;
-  opts.max_batch = 4;
-  opts.max_queue_delay_seconds = 0.002;
-  opts.mode = ExecMode::kFunctional;
-  InferenceServer server(f.engine, opts);
-  const ModelHandle h =
-      server.RegisterModel(f.model, f.cfg, f.mapping, f.weights);
-
-  const int kRequests = 10;
-  const auto inputs = MakeInputs(f.model, kRequests, 300);
-  std::vector<std::future<ItemReport>> futures;
-  for (int i = 0; i < kRequests; ++i) {
-    futures.push_back(server.Submit(h, inputs[static_cast<std::size_t>(i)]));
-  }
-
-  const Compiler compiler(f.cfg, f.spec);
-  const CompiledModel cm = compiler.Compile(f.model, f.mapping);
-  Runtime runtime(f.cfg, f.spec);
-  for (int i = 0; i < kRequests; ++i) {
-    ItemReport report = futures[static_cast<std::size_t>(i)].get();
-    ASSERT_EQ(report.outcome, ServeOutcome::kOk) << "item " << i;
-    EXPECT_GE(report.batch_size, 1);
-    EXPECT_GE(report.total_seconds, report.service_seconds);
-    const RunReport seq = runtime.Execute(
-        f.model, cm, f.weights, inputs[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(report.run.output, seq.output) << "item " << i;
-    EXPECT_EQ(report.run.stats.total_cycles, seq.stats.total_cycles);
-  }
-
-  const ServerStats stats = server.stats(h);
-  EXPECT_EQ(stats.submitted, kRequests);
-  EXPECT_EQ(stats.ok, kRequests);
-  EXPECT_EQ(stats.rejected, 0);
-  EXPECT_EQ(stats.expired, 0);
-  EXPECT_EQ(stats.batched_items, kRequests);
-  EXPECT_GE(stats.batches, 1);
-}
+// --- multi-model serving and overload ---
 
 TEST(InferenceServerTest, MultiModelServingSharesTheProgramCache) {
   ServerFixture f;
@@ -445,31 +446,22 @@ TEST(InferenceServerTest, MultiModelServingSharesTheProgramCache) {
 
   const auto in1 = MakeInputs(f.model, 3, 40);
   const auto in2 = MakeInputs(second, 3, 41);
-  std::vector<std::future<ItemReport>> fut1, fut2;
-  for (int i = 0; i < 3; ++i) {
-    fut1.push_back(server.Submit(h1, in1[static_cast<std::size_t>(i)]));
-    fut2.push_back(server.Submit(h2, in2[static_cast<std::size_t>(i)]));
-  }
+  const std::vector<InferenceServer::TraceArrival> trace = {
+      {0.0, 0}, {0.0, 1}, {0.0, 2}};
+  const auto r1 = server.ServeTrace(h1, in1, trace);
+  const auto r2 = server.ServeTrace(h2, in2, trace);
 
   const Compiler compiler(f.cfg, f.spec);
   const CompiledModel cm1 = compiler.Compile(f.model, f.mapping);
   const CompiledModel cm2 = compiler.Compile(second, second_mapping);
   Runtime runtime(f.cfg, f.spec);
-  for (int i = 0; i < 3; ++i) {
-    const ItemReport r1 = fut1[static_cast<std::size_t>(i)].get();
-    const ItemReport r2 = fut2[static_cast<std::size_t>(i)].get();
-    ASSERT_EQ(r1.outcome, ServeOutcome::kOk);
-    ASSERT_EQ(r2.outcome, ServeOutcome::kOk);
-    EXPECT_EQ(r1.run.output,
-              runtime
-                  .Execute(f.model, cm1, f.weights,
-                           in1[static_cast<std::size_t>(i)])
-                  .output);
-    EXPECT_EQ(r2.run.output,
-              runtime
-                  .Execute(second, cm2, second_weights,
-                           in2[static_cast<std::size_t>(i)])
-                  .output);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    ASSERT_EQ(r1.items[i].outcome, ServeOutcome::kOk);
+    ASSERT_EQ(r2.items[i].outcome, ServeOutcome::kOk);
+    EXPECT_EQ(r1.items[i].run.output,
+              runtime.Execute(f.model, cm1, f.weights, in1[i]).output);
+    EXPECT_EQ(r2.items[i].run.output,
+              runtime.Execute(second, cm2, second_weights, in2[i]).output);
   }
 }
 
@@ -486,125 +478,38 @@ TEST(InferenceServerTest, OverloadShedsInsteadOfQueueingUnboundedly) {
       server.RegisterModel(f.model, f.cfg, f.mapping, f.weights);
 
   // Flood far past the queue bound in one burst. The bound caps what can
-  // ever be in flight; everything else must resolve as shed, not hang.
-  const int kRequests = 64;
-  const Tensor<std::int16_t> input = MakeInput(f.model.InputOf(0), 5);
-  std::vector<std::future<ItemReport>> futures;
-  for (int i = 0; i < kRequests; ++i) {
-    futures.push_back(server.Submit(h, input, /*deadline_seconds=*/0.250));
-  }
+  // ever be in flight; everything else must resolve as shed.
+  const int kArrivals = 64;
+  const auto inputs = MakeInputs(f.model, 1, 5);
+  const std::vector<InferenceServer::TraceArrival> trace(
+      kArrivals, {0.0, 0, /*deadline_seconds=*/0.250});
+  const auto report = server.ServeTrace(h, inputs, trace);
+
+  ASSERT_EQ(report.items.size(), trace.size()) << "one outcome per arrival";
   int ok = 0, shed = 0;
-  for (auto& fut : futures) {
-    const ItemReport r = fut.get();
+  for (const ItemReport& r : report.items) {
     if (r.outcome == ServeOutcome::kOk) {
       ++ok;
-    } else {
+    } else if (r.outcome == ServeOutcome::kRejected ||
+               r.outcome == ServeOutcome::kExpired) {
       ++shed;
     }
   }
   EXPECT_GT(ok, 0);
   EXPECT_GT(shed, 0) << "a bounded queue must reject under a burst";
-  EXPECT_EQ(ok + shed, kRequests);
-  const ServerStats stats = server.stats(h);
-  EXPECT_EQ(stats.submitted, kRequests);
-  EXPECT_EQ(stats.ok, ok);
-  EXPECT_EQ(stats.rejected + stats.expired, shed);
-  EXPECT_LE(stats.mean_batch_size(), opts.max_batch);
-  EXPECT_GT(stats.shed_rate(), 0.0);
-}
-
-TEST(InferenceServerTest, StopDrainsAdmittedRequests) {
-  ServerFixture f;
-  ServerOptions opts;
-  opts.num_workers = 1;
-  opts.max_batch = 16;
-  // A long batching window: without the Stop flush these would sit for 10s.
-  opts.max_queue_delay_seconds = 10.0;
-  opts.mode = ExecMode::kDevicePaced;
-  InferenceServer server(f.engine, opts);
-  const ModelHandle h =
-      server.RegisterModel(f.model, f.cfg, f.mapping, f.weights);
-
-  const Tensor<std::int16_t> input = MakeInput(f.model.InputOf(0), 5);
-  std::vector<std::future<ItemReport>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(server.Submit(h, input));
-  server.Stop();
-  for (auto& fut : futures) {
-    EXPECT_EQ(fut.get().outcome, ServeOutcome::kOk);
+  EXPECT_EQ(ok + shed, kArrivals);
+  int served = 0;
+  for (int size : report.batch_sizes) {
+    EXPECT_LE(size, opts.max_batch);
+    served += size;
   }
-  // Post-stop submissions resolve as rejected rather than hanging.
-  EXPECT_EQ(server.Submit(h, input).get().outcome, ServeOutcome::kRejected);
-}
-
-TEST(InferenceServerTest, StopResolvesEveryOutstandingFuture) {
-  // Regression: Stop() must leave no future unresolved, whatever mix of
-  // outcomes the drain produces — a dropped promise would deadlock any
-  // caller blocked on get(). Deep backlog, a long batching window, and a
-  // spread of deadlines (some already hopeless) force the drain through
-  // the ok/expired/rejected paths in one pass.
-  ServerFixture f;
-  ServerOptions opts;
-  opts.num_workers = 1;
-  opts.max_batch = 4;
-  opts.max_queue_delay_seconds = 10.0;
-  opts.max_queue_depth = 4;
-  opts.mode = ExecMode::kDevicePaced;
-  InferenceServer server(f.engine, opts);
-  const ModelHandle h =
-      server.RegisterModel(f.model, f.cfg, f.mapping, f.weights);
-  const double dev = server.device_seconds_per_item(h);
-
-  const Tensor<std::int16_t> input = MakeInput(f.model.InputOf(0), 5);
-  std::vector<std::future<ItemReport>> futures;
-  const int kRequests = 12;
-  for (int i = 0; i < kRequests; ++i) {
-    // Every third request gets a deadline one device quantum out — far too
-    // tight once it sits behind the backlog — the rest are unconstrained.
-    const double deadline = (i % 3 == 2) ? 1.0 * dev : kNoDeadline;
-    futures.push_back(server.Submit(h, input, deadline));
-    // Let the worker take the first full batch before the backlog builds.
-    // Otherwise, on a loaded host, the tight arrivals can evict every
-    // unconstrained entry before the worker wakes, and none is served ok.
-    if (i + 1 == opts.max_batch) {
-      const auto give_up =
-          std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (server.stats(h).batches == 0 &&
-             std::chrono::steady_clock::now() < give_up) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  }
-  server.Stop();
-
-  int ok = 0, rejected = 0, expired = 0, failed = 0;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(30)),
-              std::future_status::ready)
-        << "future " << i << " never resolved after Stop()";
-    switch (futures[i].get().outcome) {
-      case ServeOutcome::kOk: ++ok; break;
-      case ServeOutcome::kRejected: ++rejected; break;
-      case ServeOutcome::kExpired: ++expired; break;
-      case ServeOutcome::kFailed: ++failed; break;
-    }
-  }
-  EXPECT_EQ(ok + rejected + expired + failed, kRequests);
-  EXPECT_GT(ok, 0);
-  EXPECT_EQ(failed, 0) << "no faults were injected";
-  const ServerStats stats = server.stats(h);
-  EXPECT_EQ(stats.submitted, kRequests);
-  EXPECT_EQ(stats.ok, ok);
-  EXPECT_EQ(stats.rejected, rejected);
-  EXPECT_EQ(stats.expired, expired);
-  EXPECT_EQ(stats.failed, 0);
-  // Stop is idempotent and a second call must not re-resolve anything.
-  server.Stop();
+  EXPECT_EQ(served, ok);
 }
 
 // --- integrity checking under injected corruption ---
 
-// Arms `fault` on every idle pooled Runtime for `cfg` so the serving
-// worker's next checkout is guaranteed to hit a poisoned device.
+// Arms `fault` on every idle pooled Runtime for `cfg` so the next
+// ServeTrace's checkout is guaranteed to hit a poisoned device.
 void ArmIdleRuntimes(RuntimePool& pool, const AccelConfig& cfg,
                      const DramFault& fault) {
   std::vector<RuntimePool::Lease> leases;
@@ -646,22 +551,8 @@ TEST(InferenceServerTest, IntegrityRetryRecoversFromInjectedCorruption) {
   ASSERT_GT(threshold, 0);
   const std::int64_t slab_base = cm.output_region(f.model.num_layers() - 1);
 
-  ArmIdleRuntimes(f.engine.runtime_pool(), f.cfg,
-                  {threshold, slab_base, 0x0001});
-
-  // The worker's first execute trips the CRC check; one in-place retry
-  // (the armed fault is single-shot) serves the clean result.
-  const ItemReport report = server.Submit(h, input).get();
-  ASSERT_EQ(report.outcome, ServeOutcome::kOk);
-  EXPECT_EQ(report.run.output, golden.output);
-  const ServerStats stats = server.stats(h);
-  EXPECT_EQ(stats.ok, 1);
-  EXPECT_EQ(stats.retried, 1);
-  EXPECT_EQ(stats.failed, 0);
-
-  // ServeTrace retries the same way. Stop joins the worker, so its runtime
-  // is back in the pool to be re-armed; one arrival replays the fault.
-  server.Stop();
+  // The first execute trips the CRC check; one in-place retry (the armed
+  // fault is single-shot) serves the clean result.
   ArmIdleRuntimes(f.engine.runtime_pool(), f.cfg,
                   {threshold, slab_base, 0x0001});
   const std::vector<Tensor<std::int16_t>> inputs{input};
@@ -669,7 +560,9 @@ TEST(InferenceServerTest, IntegrityRetryRecoversFromInjectedCorruption) {
   const auto replay = server.ServeTrace(h, inputs, trace);
   ASSERT_EQ(replay.items[0].outcome, ServeOutcome::kOk);
   EXPECT_EQ(replay.items[0].run.output, golden.output);
-  EXPECT_EQ(server.stats(h).retried, 1) << "ServeTrace leaves stats() alone";
+  // The fault did fire, so the clean output came from the retry.
+  RuntimePool::Lease used = f.engine.runtime_pool().Checkout(f.cfg);
+  EXPECT_EQ(used->dram()->injected_faults(), 1);
 }
 
 TEST(InferenceServerTest, IntegrityFailureWithoutRetryBudgetFailsClosed) {
@@ -695,27 +588,9 @@ TEST(InferenceServerTest, IntegrityFailureWithoutRetryBudgetFailsClosed) {
   const std::int64_t threshold = total - golden.output.elements() + 1;
   const std::int64_t slab_base = cm.output_region(f.model.num_layers() - 1);
 
-  ArmIdleRuntimes(f.engine.runtime_pool(), f.cfg,
-                  {threshold, slab_base, 0x0001});
-
   // Zero retry budget: the detected corruption is a terminal kFailed, never
-  // a silently-served bad result.
-  const ItemReport report = server.Submit(h, input).get();
-  EXPECT_EQ(report.outcome, ServeOutcome::kFailed);
-  const ServerStats stats = server.stats(h);
-  EXPECT_EQ(stats.ok, 0);
-  EXPECT_EQ(stats.retried, 0);
-  EXPECT_EQ(stats.failed, 1);
-
-  // The pooled runtime is healthy again (the fault was consumed): the next
-  // submit of the same input serves the golden output.
-  const ItemReport clean = server.Submit(h, input).get();
-  ASSERT_EQ(clean.outcome, ServeOutcome::kOk);
-  EXPECT_EQ(clean.run.output, golden.output);
-
-  // ServeTrace fails the corrupted item closed and the trace goes on: the
-  // second arrival runs on the same, now clean, runtime.
-  server.Stop();
+  // a silently-served bad result, and the trace goes on: the second arrival
+  // runs on the same runtime, clean again once the fault was consumed.
   ArmIdleRuntimes(f.engine.runtime_pool(), f.cfg,
                   {threshold, slab_base, 0x0001});
   const std::vector<Tensor<std::int16_t>> inputs{input};
@@ -724,7 +599,6 @@ TEST(InferenceServerTest, IntegrityFailureWithoutRetryBudgetFailsClosed) {
   EXPECT_EQ(replay.items[0].outcome, ServeOutcome::kFailed);
   ASSERT_EQ(replay.items[1].outcome, ServeOutcome::kOk);
   EXPECT_EQ(replay.items[1].run.output, golden.output);
-  EXPECT_EQ(server.stats(h).failed, 1) << "ServeTrace leaves stats() alone";
 }
 
 }  // namespace
