@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
 
   // C1: modeled single-instance capacity, the unit all offered loads are
   // expressed in. Profiled once through the same path the server uses.
-  InferenceEngine engine(spec, 1);
+  InferenceEngine engine(spec);
   double device_seconds = 0;
   {
     ServerOptions probe;

@@ -1,4 +1,5 @@
-// Fixed-size worker pool for host-side parallelism (batch serving, sweeps).
+// Fixed-size worker pool for host-side parallelism (the DSE's candidate
+// fan-out, dse/search.h).
 //
 // Deliberately minimal: a bounded set of workers draining one FIFO queue.
 // Tasks are submitted as callables and observed through std::future, so

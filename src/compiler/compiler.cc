@@ -70,16 +70,14 @@ GroupGeom MakeGroupGeom(const ConvLayer& layer, const FmapShape& in,
     geom.tiles_w = static_cast<int>(CeilDiv(geom.ow_cnt, m));
     rstart = geom.oh0 - layer.pad;
     cstart = geom.ow0 - layer.pad;
-    geom.window_rows = (geom.tiles_h - 1) * m + cfg.pt +
-                       3 * (static_cast<int>(CeilDiv(layer.kernel_h, 3)) - 1);
-    geom.window_cols = (geom.tiles_w - 1) * m + cfg.pt +
-                       3 * (static_cast<int>(CeilDiv(layer.kernel_w, 3)) - 1);
   } else {
     rstart = geom.oh0 * layer.stride - layer.pad;
     cstart = geom.ow0 * layer.stride - layer.pad;
-    geom.window_rows = (geom.oh_cnt - 1) * layer.stride + layer.kernel_h;
-    geom.window_cols = (geom.ow_cnt - 1) * layer.stride + layer.kernel_w;
   }
+  geom.window_rows = static_cast<int>(InputWindowExtent(
+      mode, geom.oh_cnt, layer.kernel_h, layer.stride, cfg));
+  geom.window_cols = static_cast<int>(InputWindowExtent(
+      mode, geom.ow_cnt, layer.kernel_w, layer.stride, cfg));
   geom.pad_t = std::max(0, -rstart);
   geom.dram_r0 = std::max(0, rstart);
   geom.rows_read =

@@ -57,11 +57,8 @@ GroupCounts ComputeGroups(const ConvLayer& layer, const FmapShape& in,
 
   // The input slab for one group must fit one input-buffer half; wide rows
   // are additionally tiled along W (with halo overlap) until they fit.
-  const int window_rows =
-      (mode == ConvMode::kWinograd)
-          ? (rows / cfg.wino_m() - 1) * cfg.wino_m() + cfg.pt +
-                3 * (CeilDiv(layer.kernel_h, 3) - 1)
-          : (rows - 1) * layer.stride + layer.kernel_h;
+  const std::int64_t window_rows =
+      InputWindowExtent(mode, rows, layer.kernel_h, layer.stride, cfg);
   const std::int64_t cv = CeilDiv<std::int64_t>(in.channels, cfg.pi);
   // Column groups must respect both the tile quantum and the pool window.
   int col_quantum = (mode == ConvMode::kWinograd) ? cfg.wino_m() : 1;
@@ -70,12 +67,10 @@ GroupCounts ComputeGroups(const ConvLayer& layer, const FmapShape& in,
   }
   int cols = static_cast<int>(RoundUp<std::int64_t>(out.width, col_quantum));
   auto slab_vectors = [&](int out_cols) {
-    const int window_cols =
-        (mode == ConvMode::kWinograd)
-            ? (out_cols / cfg.wino_m() - 1) * cfg.wino_m() + cfg.pt +
-                  3 * (CeilDiv(layer.kernel_w, 3) - 1)
-            : (out_cols - 1) * layer.stride + layer.kernel_w;
-    return static_cast<std::int64_t>(window_rows) * window_cols * cv;
+    return window_rows *
+           InputWindowExtent(mode, out_cols, layer.kernel_w, layer.stride,
+                             cfg) *
+           cv;
   };
   while (cols > col_quantum &&
          slab_vectors(cols) > cfg.input_buffer_vectors) {
@@ -178,7 +173,6 @@ LatencyBreakdown EstimateLayerLatency(const ConvLayer& layer,
   const double R = layer.kernel_h, S = layer.kernel_w;
   const double OH = out.height, OW = out.width;
   const double H = in.height, W = in.width;
-  const double slice_area = 3.0 * 3.0;
   const double slices = groups.slices;
 
   // Discretised problem dimensions: the PE processes whole channel vectors
@@ -225,27 +219,19 @@ LatencyBreakdown EstimateLayerLatency(const ConvLayer& layer,
     lb.t_cp = Kp_cp * Cp_cp * slices * (cfg.pt * cfg.pt) * OHt * OWt /
               (static_cast<double>(cfg.pi) * cfg.po * cfg.pt * cfg.pt * m * m);
     lb.t_ldw = Kp * Cp * slices * (cfg.pt * cfg.pt) / std::min(bw, pe_width);
-    (void)slice_area;
   }
   // Eq. 10 / Eq. 11, with the group-window halo the line buffer cannot
   // avoid: each row sweep loads (window + (ng-1)*advance) rows instead of H,
   // and each column tile re-reads its horizontal halo.
-  const int window_rows =
-      (mode == ConvMode::kWinograd)
-          ? (groups.rows_per_group / cfg.wino_m() - 1) * cfg.wino_m() +
-                cfg.pt + 3 * (static_cast<int>(CeilDiv(layer.kernel_h, 3)) - 1)
-          : (groups.rows_per_group - 1) * layer.stride + layer.kernel_h;
+  const std::int64_t window_rows = InputWindowExtent(
+      mode, groups.rows_per_group, layer.kernel_h, layer.stride, cfg);
   const double rows_swept =
       window_rows + static_cast<double>(groups.num_groups - 1) *
                         ((mode == ConvMode::kWinograd)
                              ? groups.rows_per_group
                              : groups.rows_per_group * layer.stride);
-  const int window_cols =
-      (mode == ConvMode::kWinograd)
-          ? (static_cast<int>(CeilDiv(groups.cols_per_group, cfg.wino_m())) -
-             1) * cfg.wino_m() +
-                cfg.pt + 3 * (static_cast<int>(CeilDiv(layer.kernel_w, 3)) - 1)
-          : (groups.cols_per_group - 1) * layer.stride + layer.kernel_w;
+  const std::int64_t window_cols = InputWindowExtent(
+      mode, groups.cols_per_group, layer.kernel_w, layer.stride, cfg);
   const double cols_advance = (mode == ConvMode::kWinograd)
                                   ? groups.cols_per_group
                                   : groups.cols_per_group * layer.stride;

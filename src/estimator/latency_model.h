@@ -7,11 +7,31 @@
 #ifndef HDNN_ESTIMATOR_LATENCY_MODEL_H_
 #define HDNN_ESTIMATOR_LATENCY_MODEL_H_
 
+#include <cstdint>
+
+#include "common/math_util.h"
 #include "common/types.h"
 #include "nn/model.h"
 #include "platform/fpga_spec.h"
 
 namespace hdnn {
+
+/// Input-window extent, in rows or columns, that `n` output rows or columns
+/// of one group read along an axis with kernel size `kernel`: ceil(n/m)
+/// Winograd tiles advance m inputs each and the last reads a PT-wide tile
+/// plus 3 per extra kernel slice; Spatial reads (n-1)*stride + kernel. The
+/// estimator's slab and halo terms and the compiler's slab geometry all
+/// use this one rule.
+inline std::int64_t InputWindowExtent(ConvMode mode, std::int64_t n,
+                                      int kernel, int stride,
+                                      const AccelConfig& cfg) {
+  if (mode == ConvMode::kWinograd) {
+    const std::int64_t m = cfg.wino_m();
+    return (CeilDiv(n, m) - 1) * m + cfg.pt +
+           3 * (CeilDiv<std::int64_t>(kernel, 3) - 1);
+  }
+  return (n - 1) * stride + kernel;
+}
 
 /// CONV operation partitioning (paper Sec. 4.2.4): input/output fmaps are
 /// split into `num_groups` row groups along H (1 row for Spatial, m rows for

@@ -19,6 +19,11 @@
 //
 // '#' starts a comment. `k`/`s`/`p` may be omitted (default 3/1/same).
 // ParseModelText(WriteModelText(m)) reproduces m (round-trip tested).
+//
+// Limits: every channel count (an `fc` layer's flattened C*H*W input
+// included), fmap height and width, kernel size and stride lies in
+// [1, kMaxModelExtent] = [1, 2^20] (nn/model.h), and the model's total op
+// count fits 64 bits. A text outside them is a line-numbered ParseError.
 #ifndef HDNN_FRONTEND_PARSER_H_
 #define HDNN_FRONTEND_PARSER_H_
 

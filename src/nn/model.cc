@@ -36,6 +36,19 @@ void Model::Append(ConvLayer layer) {
 
   const FmapShape conv_out = layer.ConvOutput(in);
   const FmapShape out = layer.Output(in);  // validates pool tiling
+  // Bounding both fmaps of every layer bounds every fmap of the model,
+  // the model input included.
+  for (const FmapShape& fmap : {in, conv_out}) {
+    HDNN_CHECK(fmap.height >= 1 && fmap.height <= kMaxModelExtent &&
+               fmap.width >= 1 && fmap.width <= kMaxModelExtent)
+        << layer.name << ": fmap " << fmap.height << "x" << fmap.width
+        << " outside [1, " << kMaxModelExtent << "] per side";
+  }
+  // Ops are 2 x MACs, so the MAC total stays at most half the int64 range.
+  const std::int64_t macs = layer.Macs(in);
+  HDNN_CHECK(macs <= std::numeric_limits<std::int64_t>::max() / 2 -
+                         total_macs_)
+      << layer.name << ": the model's op count overflows 64 bits";
 
   int residual = -1;
   if (layer.has_residual()) {
@@ -60,6 +73,7 @@ void Model::Append(ConvLayer layer) {
   input_index_.push_back(producer);
   residual_index_.push_back(residual);
   out_shape_.push_back(out);
+  total_macs_ += macs;
   layers_.push_back(std::move(layer));
 }
 
@@ -69,9 +83,6 @@ void Model::AppendFullyConnected(const std::string& name, int out_features,
       layers_.empty() ? input_ : out_shape_.back();
   ConvLayer fc;
   fc.name = name;
-  // Flattening is implicit: the compiler lays out the previous activation as
-  // a C*H*W x 1 x 1 feature map (see Canonical()).
-  fc.in_channels = static_cast<int>(in.elements());
   fc.out_channels = out_features;
   fc.kernel_h = 1;
   fc.kernel_w = 1;
@@ -79,6 +90,9 @@ void Model::AppendFullyConnected(const std::string& name, int out_features,
   fc.pad = 0;
   fc.relu = relu;
   fc.is_fc = true;
+  // Flattening is implicit: the compiler lays out the previous activation as
+  // a C*H*W x 1 x 1 feature map (see Canonical()).
+  fc.in_channels = Canonical(in, fc).channels;
   Append(std::move(fc));
 }
 
@@ -93,12 +107,6 @@ FmapShape Model::InputOf(int i) const {
 FmapShape Model::OutputShape() const {
   HDNN_CHECK(num_layers() > 0) << "empty model";
   return OutputOf(num_layers() - 1);
-}
-
-std::int64_t Model::TotalMacs() const {
-  std::int64_t total = 0;
-  for (int i = 0; i < num_layers(); ++i) total += layer(i).Macs(InputOf(i));
-  return total;
 }
 
 std::string Model::Summary() const {
@@ -128,10 +136,11 @@ std::string Model::Summary() const {
 }
 
 FmapShape Model::Canonical(const FmapShape& shape, const ConvLayer& next) {
-  if (next.is_fc) {
-    return FmapShape{static_cast<int>(shape.elements()), 1, 1};
-  }
-  return shape;
+  if (!next.is_fc) return shape;
+  HDNN_CHECK(shape.elements() <= kMaxModelExtent)
+      << next.name << ": flattened FC input of " << shape.elements()
+      << " elements exceeds the channel limit " << kMaxModelExtent;
+  return FmapShape{static_cast<int>(shape.elements()), 1, 1};
 }
 
 }  // namespace hdnn

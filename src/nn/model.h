@@ -22,6 +22,14 @@
 
 namespace hdnn {
 
+/// Largest channel count (an FC layer's flattened input included), fmap
+/// height or width, kernel size or stride a model may hold. Bounding each
+/// extent keeps every window, slab and address the toolchain derives from
+/// them far inside 64 bits; the one product that can still overflow, the
+/// MAC count, is checked where it is formed (ConvLayer::Macs,
+/// Model::Append).
+inline constexpr int kMaxModelExtent = 1 << 20;
+
 /// Spatial geometry of one convolution layer's input.
 struct FmapShape {
   int channels = 0;
@@ -54,10 +62,16 @@ struct ConvLayer {
   bool has_residual() const { return !add.empty(); }
 
   void Validate() const {
-    HDNN_CHECK(in_channels > 0 && out_channels > 0)
-        << name << ": channels must be positive";
-    HDNN_CHECK(kernel_h > 0 && kernel_w > 0) << name << ": bad kernel";
-    HDNN_CHECK(stride >= 1) << name << ": bad stride";
+    const auto in_range = [](int v) { return v >= 1 && v <= kMaxModelExtent; };
+    HDNN_CHECK(in_range(in_channels) && in_range(out_channels))
+        << name << ": channels " << in_channels << " -> " << out_channels
+        << " outside [1, " << kMaxModelExtent << "]";
+    HDNN_CHECK(in_range(kernel_h) && in_range(kernel_w))
+        << name << ": kernel " << kernel_h << "x" << kernel_w
+        << " outside [1, " << kMaxModelExtent << "]";
+    HDNN_CHECK(in_range(stride))
+        << name << ": stride " << stride << " outside [1, " << kMaxModelExtent
+        << "]";
     HDNN_CHECK(pad >= 0) << name << ": bad pad";
     // A pad wider than the kernel puts whole output windows inside the
     // padding, which the compiler's input-group geometry cannot represent.
@@ -125,11 +139,17 @@ struct ConvLayer {
     return out;
   }
 
-  /// Multiply-accumulate count of this convolution (no pooling ops).
+  /// Multiply-accumulate count of this convolution (no pooling ops); an
+  /// InvalidArgument when it does not fit 64 bits.
   std::int64_t Macs(const FmapShape& in) const {
     const FmapShape out = ConvOutput(in);
-    return static_cast<std::int64_t>(out_channels) * in_channels * kernel_h *
-           kernel_w * out.height * out.width;
+    std::int64_t macs = out_channels;
+    for (const int factor :
+         {in_channels, kernel_h, kernel_w, out.height, out.width}) {
+      HDNN_CHECK(!__builtin_mul_overflow(macs, factor, &macs))
+          << name << ": MAC count overflows 64 bits";
+    }
+    return macs;
   }
 
   /// Operation count as the paper reports GOPS: 2 ops per MAC.
@@ -191,9 +211,10 @@ class Model {
   /// Final output shape (of the last appended layer).
   FmapShape OutputShape() const;
 
-  /// Total MAC / op counts over all layers.
-  std::int64_t TotalMacs() const;
-  std::int64_t TotalOps() const { return 2 * TotalMacs(); }
+  /// Total MAC / op counts over all layers (Append keeps the op count
+  /// inside 64 bits).
+  std::int64_t TotalMacs() const { return total_macs_; }
+  std::int64_t TotalOps() const { return 2 * total_macs_; }
 
   /// Human-readable per-layer summary.
   std::string Summary() const;
@@ -220,6 +241,7 @@ class Model {
   std::vector<int> residual_index_;  ///< per layer; -1 = none
   std::vector<FmapShape> out_shape_; ///< cached post-pool output shapes
   std::map<std::string, int> name_to_index_;
+  std::int64_t total_macs_ = 0;
 };
 
 }  // namespace hdnn

@@ -50,24 +50,6 @@ void QuantConfig::Validate(const Model& model) const {
   }
 }
 
-std::uint64_t QuantConfig::Fingerprint() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ull;  // FNV prime
-  };
-  mix(static_cast<std::uint64_t>(feature_bits));
-  mix(static_cast<std::uint64_t>(weight_bits));
-  for (const int f : act_frac) mix(static_cast<std::uint64_t>(f));
-  for (const int f : wgt_frac) mix(static_cast<std::uint64_t>(f));
-  for (const auto& ch : wgt_frac_ch) {
-    // Delimit layers so {[]} vs {[6]} style shifts cannot alias.
-    mix(ch.size() + 1);
-    for (const int f : ch) mix(static_cast<std::uint64_t>(f));
-  }
-  return h;
-}
-
 QuantConfig QuantConfig::Uniform(const Model& model, int feature_frac,
                                  int weight_frac) {
   QuantConfig qc;

@@ -30,7 +30,6 @@
 #ifndef HDNN_QUANT_QUANT_CONFIG_H_
 #define HDNN_QUANT_QUANT_CONFIG_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "nn/model.h"
@@ -77,11 +76,6 @@ struct QuantConfig {
   /// residual adds mix tensors on the same grid (SAVE_RES adds raw integers,
   /// so both operands of a skip connection must share fraction bits).
   void Validate(const Model& model) const;
-
-  /// Order-sensitive FNV-1a fingerprint of every scale. Engine cache keys
-  /// mix this in so two deployments of the same model at different precision
-  /// points never share a compiled program.
-  std::uint64_t Fingerprint() const;
 
   /// The hand-assigned legacy point: every feature tensor Q(feature)/6,
   /// every weight Q/6, i.e. shift 6 on every layer — bit-identical to a

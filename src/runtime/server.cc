@@ -39,16 +39,13 @@ ModelHandle InferenceServer::RegisterModel(
   ms.cfg = cfg;
   ms.weights = weights;
   ms.compiled = engine_.GetOrCompile(model, cfg, mapping);
-  {
-    // Deterministic device profile: simulated time is input-independent, so
-    // one timing-only run pins the per-item modeled latency every drainer
-    // is paced on.
-    RuntimePool::Lease lease = engine_.runtime_pool().Checkout(cfg);
-    const RunReport profile = lease->Execute(ms.model, *ms.compiled,
-                                             ms.weights, {},
-                                             /*functional=*/false);
-    ms.device_seconds = profile.seconds;
-  }
+  // Deterministic device profile: simulated time is input-independent, so
+  // one timing-only run pins the per-item modeled latency every drainer is
+  // paced on.
+  ms.device_seconds = engine_.RuntimeFor(cfg)
+                          .Execute(ms.model, *ms.compiled, ms.weights, {},
+                                   /*functional=*/false)
+                          .seconds;
   models_.push_back(std::move(ms));
   return static_cast<ModelHandle>(models_.size() - 1);
 }
@@ -90,11 +87,8 @@ InferenceServer::TraceReport InferenceServer::ServeTrace(
   TraceReport out;
   out.items.resize(trace.size());
 
-  RuntimePool::Lease lease;
-  if (options_.mode == ExecMode::kFunctional) {
-    lease = engine_.runtime_pool().Checkout(ms.cfg);
-    lease->set_integrity_check(options_.integrity_check);
-  }
+  Runtime& runtime = engine_.RuntimeFor(ms.cfg);
+  runtime.set_integrity_check(options_.integrity_check);
 
   const auto resolve_shed = [&](DeadlineQueue<Slot>::Entry e,
                                 ServeOutcome outcome, double at) {
@@ -188,7 +182,7 @@ InferenceServer::TraceReport InferenceServer::ServeTrace(
       } else {
         const TraceArrival& a =
             trace[static_cast<std::size_t>(batch[k].value.trace_index)];
-        r.outcome = ExecuteItem(ms, *lease,
+        r.outcome = ExecuteItem(ms, runtime,
                                 inputs[static_cast<std::size_t>(a.input_index)],
                                 r.run);
       }

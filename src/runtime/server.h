@@ -16,9 +16,10 @@
 //
 // Execution modes (ServerOptions.mode):
 //   * kFunctional  — every executed item also runs the functional
-//     simulator on a Runtime checked out of the engine's RuntimePool, so
-//     outputs are bit-identical to a sequential Runtime::Execute of the same
-//     input (Runtime reuse is bit-invisible, DESIGN.md Sec. 4).
+//     simulator on the engine's Runtime for the model's config
+//     (InferenceEngine::RuntimeFor), so outputs are bit-identical to a
+//     sequential Runtime::Execute of the same input (Runtime reuse is
+//     bit-invisible, DESIGN.md Sec. 4).
 //   * kDevicePaced — load testing: items are not simulated. The per-item
 //     modeled accelerator latency, profiled once per registered model
 //     (simulated time is input-independent), is the service time, so a
@@ -86,9 +87,9 @@ using ModelHandle = int;
 
 class InferenceServer {
  public:
-  /// The engine supplies the compiled-program cache and the Runtime pool;
-  /// it must outlive the server. RegisterModel must not race any other call
-  /// on the same server.
+  /// The engine supplies the compiled-program cache and the Runtime; it
+  /// must outlive the server. Like the engine, the server is
+  /// single-threaded.
   InferenceServer(InferenceEngine& engine, const ServerOptions& options);
 
   InferenceServer(const InferenceServer&) = delete;

@@ -198,6 +198,34 @@ TEST(ModelParserTest, HugePadIsATypedErrorNotAnOverflow) {
                ParseError);
 }
 
+TEST(ModelParserTest, OversizedExtentsAreParseErrors) {
+  // Each of these parsed once, then overflowed or failed far downstream:
+  // a 2e9 kernel overflowed the estimator's input window and the model's
+  // op count, a 1e9-channel layer failed only at compile time, and a
+  // 5x65536x65537 input flattened into an FC layer of 327680 channels.
+  // Extents are bounded by kMaxModelExtent, and op counts are checked.
+  for (const char* text : {
+           "model x\ninput 3 8 8\nconv name=a out=4 k=2000000000 "
+           "p=2000000000\n",
+           "model x\ninput 3 8 8\nconv name=a out=1000000000\n",
+           "model x\ninput 5 65536 65537\nfc name=f out=4\n",
+           // Every extent inside the limit, but 2^80 MACs in one layer...
+           "model x\ninput 1048576 1048576 1048576\n"
+           "conv name=a out=1048576 k=1 p=0\n",
+           // ...or 2^61 MACs in each of two, 2^63 ops in all.
+           "model x\ninput 1048576 1048576 2\n"
+           "conv name=a out=1048576 k=1 p=0\n"
+           "conv name=b out=1048576 k=1 p=0\n",
+       }) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(ParseModelText(text), ParseError);
+  }
+  // The limit itself is legal.
+  const Model edge = ParseModelText(
+      "model x\ninput 1 1048576 1\nconv name=a out=1 k=1 p=0 s=1048576\n");
+  EXPECT_EQ(edge.OutputOf(0).height, 1);
+}
+
 TEST(ModelParserTest, PadWiderThanKernelIsAParseError) {
   // Such a pad puts whole output windows inside the padding; it must fail
   // at parse time, naming the layer, instead of reaching the compiler.

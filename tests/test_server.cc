@@ -508,22 +508,6 @@ TEST(InferenceServerTest, OverloadShedsInsteadOfQueueingUnboundedly) {
 
 // --- integrity checking under injected corruption ---
 
-// Arms `fault` on every idle pooled Runtime for `cfg` so the next
-// ServeTrace's checkout is guaranteed to hit a poisoned device.
-void ArmIdleRuntimes(RuntimePool& pool, const AccelConfig& cfg,
-                     const DramFault& fault) {
-  std::vector<RuntimePool::Lease> leases;
-  while (pool.idle_count() > 0) leases.push_back(pool.Checkout(cfg));
-  ASSERT_FALSE(leases.empty()) << "registration should have pooled a runtime";
-  for (auto& lease : leases) {
-    ASSERT_TRUE(lease.valid());
-    ASSERT_NE(lease->dram(), nullptr)
-        << "profiling at registration builds the DRAM model";
-    lease->dram()->ArmFault(fault);
-  }
-  // Leases release here, returning the armed runtimes to the pool.
-}
-
 TEST(InferenceServerTest, IntegrityRetryRecoversFromInjectedCorruption) {
   ServerFixture f;
   ServerOptions opts;
@@ -552,17 +536,18 @@ TEST(InferenceServerTest, IntegrityRetryRecoversFromInjectedCorruption) {
   const std::int64_t slab_base = cm.output_region(f.model.num_layers() - 1);
 
   // The first execute trips the CRC check; one in-place retry (the armed
-  // fault is single-shot) serves the clean result.
-  ArmIdleRuntimes(f.engine.runtime_pool(), f.cfg,
-                  {threshold, slab_base, 0x0001});
+  // fault is single-shot) serves the clean result. Registration profiled on
+  // the engine's Runtime, so its DRAM model exists to arm.
+  DramModel* dram = f.engine.RuntimeFor(f.cfg).dram();
+  ASSERT_NE(dram, nullptr);
+  dram->ArmFault({threshold, slab_base, 0x0001});
   const std::vector<Tensor<std::int16_t>> inputs{input};
   const std::vector<InferenceServer::TraceArrival> trace{{0.0, 0}};
   const auto replay = server.ServeTrace(h, inputs, trace);
   ASSERT_EQ(replay.items[0].outcome, ServeOutcome::kOk);
   EXPECT_EQ(replay.items[0].run.output, golden.output);
   // The fault did fire, so the clean output came from the retry.
-  RuntimePool::Lease used = f.engine.runtime_pool().Checkout(f.cfg);
-  EXPECT_EQ(used->dram()->injected_faults(), 1);
+  EXPECT_EQ(dram->injected_faults(), 1);
 }
 
 TEST(InferenceServerTest, IntegrityFailureWithoutRetryBudgetFailsClosed) {
@@ -591,8 +576,9 @@ TEST(InferenceServerTest, IntegrityFailureWithoutRetryBudgetFailsClosed) {
   // Zero retry budget: the detected corruption is a terminal kFailed, never
   // a silently-served bad result, and the trace goes on: the second arrival
   // runs on the same runtime, clean again once the fault was consumed.
-  ArmIdleRuntimes(f.engine.runtime_pool(), f.cfg,
-                  {threshold, slab_base, 0x0001});
+  DramModel* dram = f.engine.RuntimeFor(f.cfg).dram();
+  ASSERT_NE(dram, nullptr);
+  dram->ArmFault({threshold, slab_base, 0x0001});
   const std::vector<Tensor<std::int16_t>> inputs{input};
   const std::vector<InferenceServer::TraceArrival> trace{{0.0, 0}, {0.0, 0}};
   const auto replay = server.ServeTrace(h, inputs, trace);
