@@ -11,7 +11,7 @@
 namespace hdnn {
 
 Runtime::Runtime(const AccelConfig& cfg, const FpgaSpec& spec)
-    : cfg_(cfg), spec_(spec) {
+    : cfg_(cfg), spec_(spec), accel_(cfg_, spec_) {
   cfg_.Validate();
 }
 
@@ -78,32 +78,36 @@ RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
                            const ModelWeightsQ& weights,
                            const Tensor<std::int16_t>& input,
                            bool functional) {
-  // Only a clean functional run re-earns the resident claim (at the end),
-  // so any exception from here on leaves the next run a full re-stage.
-  const std::optional<ResidentImage> resident = std::exchange(resident_, {});
+  // A timing-only run touches no DRAM, so it neither reads nor drops the
+  // resident claim. Only a clean functional run re-earns it (at the end),
+  // so any exception in one from here on leaves the next run a full
+  // re-stage.
+  const std::optional<ResidentImage> resident =
+      functional ? std::exchange(resident_, {}) : std::nullopt;
   HDNN_CHECK(cm.cfg == cfg_) << "compiled model targets a different config";
   // Compiler-produced models were stream-checked and decoded at compile
-  // time (cm.decoded); only hand-built CompiledModels pay per-run QA. The
-  // check also proves no SAVE lands in the weight image kept below.
+  // time (cm.decoded); only hand-built CompiledModels pay per-run QA, in
+  // both modes. The check also proves no SAVE lands in the weight image
+  // kept below.
   if (!cm.decoded) RequireValidStream(cm);
-  const std::int64_t dram_words = cm.total_dram_words + 1024;
   // A fault that fires during a run was armed at its start: such a run
   // stages everything, so thresholds count the same traffic as a cold run,
   // and leaves no claim, so a corrupted word never outlives its epoch.
   const bool faults_armed = dram_ && dram_->armed_faults() > 0;
   const std::uint64_t key =
       functional ? WeightImageKey(cm, model, weights) : 0;
-  const bool keep_weights =
-      functional && !faults_armed && resident &&
-      *resident == ResidentImage{key, dram_->words_written(),
-                                 dram_->injected_faults()};
-  if (!dram_) {
-    dram_ = std::make_unique<DramModel>(dram_words);
-  } else {
-    dram_->Reset(dram_words, keep_weights ? cm.fmap_base : 0);
-  }
 
   if (functional) {
+    const std::int64_t dram_words = cm.total_dram_words + 1024;
+    const bool keep_weights =
+        !faults_armed && resident &&
+        *resident == ResidentImage{key, dram_->words_written(),
+                                   dram_->injected_faults()};
+    if (!dram_) {
+      dram_ = std::make_unique<DramModel>(dram_words);
+    } else {
+      dram_->Reset(dram_words, keep_weights ? cm.fmap_base : 0);
+    }
     if (!keep_weights) WriteWeightImages(cm, model, weights, *dram_);
     const LayerPlan& first = cm.plans.front();
     HDNN_CHECK(input.shape() == Shape({first.in_shape.channels,
@@ -114,11 +118,10 @@ RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
                    first.cp_in);
   }
 
-  if (!accel_) accel_ = std::make_unique<Accelerator>(cfg_, spec_, *dram_);
-  accel_->set_functional(functional);
+  DramModel* const dram = functional ? dram_.get() : nullptr;
   RunReport report;
-  report.stats =
-      cm.decoded ? accel_->Run(*cm.decoded) : accel_->Run(cm.program);
+  report.stats = cm.decoded ? accel_.Run(*cm.decoded, dram)
+                            : accel_.Run(cm.program, dram);
   report.seconds = report.stats.Seconds(spec_.freq_mhz);
   const double ops = static_cast<double>(model.TotalOps());
   report.gops = ops / report.seconds / 1e9;

@@ -36,17 +36,20 @@ struct RunReport {
 /// bias image [0, cm.fmap_base) stays resident in the DRAM model across
 /// functional Executes, as on the board: a run whose WeightImageKey
 /// matches the last clean functional run zeroes only the fmap slots
-/// [cm.fmap_base, size) and stages only its input. A fault armed at
-/// the start of a run, any exception, a timing-only run, or a write or
-/// fault through dram() between runs drops the claim, so the next
-/// functional run re-stages the whole image (DESIGN.md Sec. 4).
+/// [cm.fmap_base, size) and stages only its input. A fault armed at the
+/// start of a functional run, any exception in one, or a write or fault
+/// through dram() between runs drops the claim, so the next functional run
+/// re-stages the whole image (DESIGN.md Sec. 4). A timing-only run touches
+/// no DRAM, so it neither reads nor drops the claim, even when it throws.
 class Runtime {
  public:
   Runtime(const AccelConfig& cfg, const FpgaSpec& spec);
 
   /// Runs one inference. `input` is the (real-channel) CHW input fmap in the
-  /// quantised feature domain. When `functional` is false, data preparation
-  /// and arithmetic are skipped and only timing is produced.
+  /// quantised feature domain. When `functional` is false, the run is
+  /// timing-only: no DRAM image is built or zeroed, no data is staged and no
+  /// arithmetic executed, and its SimStats equal the functional run's. A
+  /// hand-built `cm` (no `decoded`) is stream-checked in both modes.
   RunReport Execute(const Model& model, const CompiledModel& cm,
                     const ModelWeightsQ& weights,
                     const Tensor<std::int16_t>& input, bool functional = true);
@@ -62,6 +65,7 @@ class Runtime {
   void set_integrity_check(bool on) { integrity_check_ = on; }
   bool integrity_check() const { return integrity_check_; }
 
+  /// The device DRAM: null until the first functional Execute builds it.
   DramModel* dram() { return dram_.get(); }
 
  private:
@@ -69,16 +73,17 @@ class Runtime {
   FpgaSpec spec_;
   bool integrity_check_ = false;
   /// Persistent per-Runtime arenas: the DRAM image is Reset (storage
-  /// reused) and the Accelerator's buffers and COMP scratch survive across
-  /// Execute calls, so steady-state serving performs no per-inference
-  /// reallocation of the simulator state. `accel_` holds a reference to
-  /// `*dram_`, whose object identity is stable after first construction.
+  /// reused) by each functional Execute, and the Accelerator's buffers and
+  /// COMP scratch survive across Execute calls, so steady-state serving
+  /// performs no per-inference reallocation of the simulator state. Each
+  /// functional run hands `dram_` to `accel_`; timing-only runs hand none.
   std::unique_ptr<DramModel> dram_;
-  std::unique_ptr<Accelerator> accel_;
+  Accelerator accel_;
 
   /// The resident weight image: its key, and the DRAM's write and fault
   /// counters as the clean functional run that staged it left them. Set
-  /// only at the end of such a run; cleared at the start of every Execute.
+  /// only at the end of such a run; cleared at the start of every
+  /// functional Execute.
   struct ResidentImage {
     std::uint64_t key = 0;
     std::int64_t words_written = 0;

@@ -122,9 +122,8 @@ SpatialFn SelectSpatial(int pi, int po) {
 
 }  // namespace
 
-Accelerator::Accelerator(const AccelConfig& cfg, const FpgaSpec& spec,
-                         DramModel& dram)
-    : cfg_(cfg), spec_(spec), dram_(dram) {
+Accelerator::Accelerator(const AccelConfig& cfg, const FpgaSpec& spec)
+    : cfg_(cfg), spec_(spec) {
   cfg_.Validate();
   const double bytes_per_cycle =
       spec_.bandwidth_per_instance_gbps(cfg_.ni) * 1e9 /
@@ -169,7 +168,8 @@ void Accelerator::EnsureAccum(std::int64_t size, bool clear) {
   }
 }
 
-Accelerator::ExecResult Accelerator::ExecLoadInp(const LoadFields& f) {
+Accelerator::ExecResult Accelerator::ExecLoadInp(const LoadFields& f,
+                                                 const DramModel* dram) {
   const int cv = f.chan_vecs;
   const int slab_rows = f.pad_t + f.rows + f.pad_b;
   const int slab_cols = f.pad_l + f.cols + f.pad_r;
@@ -184,7 +184,7 @@ Accelerator::ExecResult Accelerator::ExecLoadInp(const LoadFields& f) {
   const std::int64_t half_base =
       static_cast<std::int64_t>(half) * cfg_.input_buffer_vectors;
 
-  if (functional_) {
+  if (dram) {
     // Slab element (r, c, ch) lives at dst0[(r*slab_cols + c)*cp + ch] with
     // ch = v*PI + lane, so each pixel is a cp-contiguous run and a full slab
     // row is slab_cols*cp-contiguous. Padding is bulk zero-fill; fetched
@@ -194,7 +194,7 @@ Accelerator::ExecResult Accelerator::ExecLoadInp(const LoadFields& f) {
     const auto read_run = [&](std::int64_t addr,
                               std::int64_t n) -> const std::int16_t* {
       if (f.keep_resident) return ResidentSpan(addr, n);
-      return dram_.ReadRun(addr, n).data();
+      return dram->ReadRun(addr, n).data();
     };
     std::int32_t* const dst0 =
         input_buf_.data() +
@@ -290,7 +290,8 @@ Accelerator::ExecResult Accelerator::ExecLoadInp(const LoadFields& f) {
   return res;
 }
 
-Accelerator::ExecResult Accelerator::ExecLoadWgt(const LoadFields& f) {
+Accelerator::ExecResult Accelerator::ExecLoadWgt(const LoadFields& f,
+                                                 const DramModel* dram) {
   const std::int64_t vectors = static_cast<std::int64_t>(f.rows) * f.cols *
                                f.chan_vecs * f.aux;
   const std::int64_t elems = vectors * cfg_.pi * cfg_.po;
@@ -303,10 +304,10 @@ Accelerator::ExecResult Accelerator::ExecLoadWgt(const LoadFields& f) {
       << " elements";
 
   const int half = f.buff_id & 1;
-  if (functional_) {
+  if (dram) {
     // The compiler packs each weight block contiguously in load order, so
     // the whole LOAD_WGT is a single widening copy.
-    const auto src = dram_.ReadRun(f.dram_base, elems);
+    const auto src = dram->ReadRun(f.dram_base, elems);
     WidenRun(src.data(),
              weight_buf_.data() + static_cast<std::size_t>(half * cap +
                                                            base_elems),
@@ -323,14 +324,15 @@ Accelerator::ExecResult Accelerator::ExecLoadWgt(const LoadFields& f) {
   return res;
 }
 
-Accelerator::ExecResult Accelerator::ExecLoadBias(const LoadFields& f) {
+Accelerator::ExecResult Accelerator::ExecLoadBias(const LoadFields& f,
+                                                  const DramModel* dram) {
   const std::int64_t values = static_cast<std::int64_t>(f.aux) * cfg_.po;
   HDNN_CHECK(static_cast<std::int64_t>(f.buff_base) + values <= kBiasCapacity)
       << "LOAD_BIAS overflows bias buffer";
   const int half = f.buff_id & 1;
-  if (functional_) {
+  if (dram) {
     // One run of little-endian word pairs, assembled into int32 bias slots.
-    const auto src = dram_.ReadRun(f.dram_base, 2 * values);
+    const auto src = dram->ReadRun(f.dram_base, 2 * values);
     std::int32_t* const dst =
         bias_buf_.data() +
         static_cast<std::size_t>(half * kBiasCapacity + f.buff_base);
@@ -637,8 +639,9 @@ void Accelerator::EmitSpatial(const CompFields& f) {
   }
 }
 
-Accelerator::ExecResult Accelerator::ExecComp(const CompFields& f) {
-  if (functional_) {
+Accelerator::ExecResult Accelerator::ExecComp(const CompFields& f,
+                                              bool functional) {
+  if (functional) {
     if (f.wino) {
       CompWinograd(f);
       if (f.accum_emit) EmitWinograd(f);
@@ -676,7 +679,8 @@ Accelerator::ExecResult Accelerator::ExecComp(const CompFields& f) {
   return res;
 }
 
-Accelerator::ExecResult Accelerator::ExecSave(const SaveFields& f) {
+Accelerator::ExecResult Accelerator::ExecSave(const SaveFields& f,
+                                              DramModel* dram) {
   const bool src_wino = f.layout == SaveLayout::kWinoToSpat ||
                         f.layout == SaveLayout::kWinoToWino;
   const bool dst_wino = f.layout == SaveLayout::kSpatToWino ||
@@ -699,7 +703,7 @@ Accelerator::ExecResult Accelerator::ExecSave(const SaveFields& f) {
   const std::int64_t feat_max = (1ll << (cfg_.data_width - 1)) - 1;
   const std::int64_t feat_min = -(1ll << (cfg_.data_width - 1));
 
-  if (functional_) {
+  if (dram) {
     // Output-slab element (row, col, ch) lives at out0[(row*slab_cols +
     // col)*group_ch + ch] with ch = kv*PO + lane: per-position channel runs
     // are contiguous. The loop nest is ordered so every DRAM write is a
@@ -719,7 +723,7 @@ Accelerator::ExecResult Accelerator::ExecSave(const SaveFields& f) {
     const auto write_run = [&](std::int64_t addr,
                                std::int64_t n) -> std::int16_t* {
       if (f.keep_resident) return ResidentSpan(addr, n);
-      return dram_.WriteRun(addr, n).data();
+      return dram->WriteRun(addr, n).data();
     };
     // Saturating residual fuse shared by both layout paths (pool == 1 is
     // guaranteed for SAVE_RES, so `acc` is always the raw COMP emit).
@@ -774,7 +778,7 @@ Accelerator::ExecResult Accelerator::ExecSave(const SaveFields& f) {
           } else if (!f.res_wino) {
             // Residual source is channel-innermost too: one matching run.
             const auto res =
-                dram_.ReadRun(f.res_dram_base + pos * f.oc_pitch, group_ch);
+                dram->ReadRun(f.res_dram_base + pos * f.oc_pitch, group_ch);
             for (std::int64_t ch = 0; ch < group_ch; ++ch) {
               dst[ch] = fuse_res(src[ch], res[static_cast<std::size_t>(ch)]);
             }
@@ -783,7 +787,7 @@ Accelerator::ExecResult Accelerator::ExecSave(const SaveFields& f) {
             // skip operand is channel-strided, so it streams word-wise.
             for (std::int64_t ch = 0; ch < group_ch; ++ch) {
               const std::int64_t raddr = f.res_dram_base + ch * hw + pos;
-              dst[ch] = fuse_res(src[ch], dram_.Read(raddr));
+              dst[ch] = fuse_res(src[ch], dram->Read(raddr));
             }
           }
         }
@@ -822,7 +826,7 @@ Accelerator::ExecResult Accelerator::ExecSave(const SaveFields& f) {
           } else if (f.res_wino) {
             // Matching layout: the skip row is one contiguous run.
             const auto res =
-                dram_.ReadRun(f.res_dram_base + ch * hw + pos0, pcols);
+                dram->ReadRun(f.res_dram_base + ch * hw + pos0, pcols);
             for (int pc = 0; pc < pcols; ++pc) {
               dst[static_cast<std::size_t>(pc)] =
                   fuse_res(src_row[static_cast<std::int64_t>(pc) * group_ch],
@@ -836,7 +840,7 @@ Accelerator::ExecResult Accelerator::ExecSave(const SaveFields& f) {
                   f.res_dram_base + (pos0 + pc) * f.oc_pitch + ch;
               dst[static_cast<std::size_t>(pc)] =
                   fuse_res(src_row[static_cast<std::int64_t>(pc) * group_ch],
-                           dram_.Read(raddr));
+                           dram->Read(raddr));
             }
           }
         }
@@ -874,13 +878,14 @@ Accelerator::ExecResult Accelerator::ExecSave(const SaveFields& f) {
   return res;
 }
 
-SimStats Accelerator::Run(const std::vector<Instruction>& program) {
+SimStats Accelerator::Run(const std::vector<Instruction>& program,
+                          DramModel* dram) {
   // One-shot path: validate + decode fresh. Steady-state serving uses the
   // DecodedProgram overload with the decode cached on the CompiledModel.
-  return Run(DecodeProgram(program));
+  return Run(DecodeProgram(program), dram);
 }
 
-SimStats Accelerator::Run(const DecodedProgram& prog) {
+SimStats Accelerator::Run(const DecodedProgram& prog, DramModel* dram) {
   macs_executed_ = 0;
   // The accelerator is reusable across programs (serving runtimes hold one
   // per worker): reset per-run state so every Run is bit- and cycle-
@@ -895,7 +900,7 @@ SimStats Accelerator::Run(const DecodedProgram& prog) {
   // mirror every inference (matching DramModel::Reset's zeroing).
   resident_.clear();
   resident_base_ = 0;
-  if (functional_) {
+  if (dram) {
     std::fill(input_buf_.begin(), input_buf_.end(), 0);
     std::fill(weight_buf_.begin(), weight_buf_.end(), 0);
     std::fill(output_buf_.begin(), output_buf_.end(), 0);
@@ -1057,22 +1062,22 @@ SimStats Accelerator::Run(const DecodedProgram& prog) {
     switch (op) {
       case Opcode::kLoadInp:
       case Opcode::kLoadInpKr:
-        res = ExecLoadInp(std::get<LoadFields>(f));
+        res = ExecLoadInp(std::get<LoadFields>(f), dram);
         break;
       case Opcode::kLoadWgt:
-        res = ExecLoadWgt(std::get<LoadFields>(f));
+        res = ExecLoadWgt(std::get<LoadFields>(f), dram);
         break;
       case Opcode::kLoadBias:
-        res = ExecLoadBias(std::get<LoadFields>(f));
+        res = ExecLoadBias(std::get<LoadFields>(f), dram);
         break;
       case Opcode::kComp:
-        res = ExecComp(std::get<CompFields>(f));
+        res = ExecComp(std::get<CompFields>(f), dram != nullptr);
         break;
       case Opcode::kSave:
       case Opcode::kSaveRes:
       case Opcode::kSaveKr:
       case Opcode::kSaveResKr:
-        res = ExecSave(std::get<SaveFields>(f));
+        res = ExecSave(std::get<SaveFields>(f), dram);
         break;
       default:
         break;

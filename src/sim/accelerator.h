@@ -66,12 +66,17 @@ struct SimStats {
 
 class Accelerator {
  public:
-  /// The accelerator reads/writes `dram`; bandwidth is the per-instance
-  /// share (spec.bandwidth_per_instance_gbps(cfg.ni)).
-  Accelerator(const AccelConfig& cfg, const FpgaSpec& spec, DramModel& dram);
+  /// Holds no DRAM: each Run is given one, or none. Bandwidth is the
+  /// per-instance share (spec.bandwidth_per_instance_gbps(cfg.ni)).
+  Accelerator(const AccelConfig& cfg, const FpgaSpec& spec);
 
   /// Executes an END-terminated program; returns timing statistics.
-  /// Functional effects (DRAM writes) persist in `dram`.
+  ///
+  /// With a `dram`, the run is functional: LOADs read it, COMP computes,
+  /// and SAVEs write it, so the results persist in `dram`. A null `dram`
+  /// runs timing only: no data is moved and no arithmetic executed, which
+  /// is what large sweeps use. The timing model does not depend on data
+  /// values, so both give identical SimStats for the same program.
   ///
   /// An Accelerator is reusable: per-run microarchitectural state is reset
   /// on entry, so consecutive Runs are bit- and cycle-identical to runs on
@@ -82,22 +87,17 @@ class Accelerator {
   /// DecodedProgram overload skips straight to the scheduler loop, which is
   /// what serving runtimes use (the decode is cached per CompiledModel).
   /// Both are bit- and cycle-identical for the same program bytes.
-  SimStats Run(const std::vector<Instruction>& program);
-  SimStats Run(const DecodedProgram& prog);
-
-  /// When disabled, the simulator computes timing only: no data is moved and
-  /// no arithmetic executed. Used for large sweeps (the timing model does
-  /// not depend on data values). Default: enabled.
-  void set_functional(bool functional) { functional_ = functional; }
-  bool functional() const { return functional_; }
+  SimStats Run(const std::vector<Instruction>& program, DramModel* dram);
+  SimStats Run(const DecodedProgram& prog, DramModel* dram);
 
   const AccelConfig& config() const { return cfg_; }
 
  private:
   struct ModuleState;
 
-  // Functional executors; each returns the instruction's busy cycles and
-  // the DRAM words moved (0 for COMP).
+  // Module executors; each returns the instruction's busy cycles and the
+  // DRAM words moved (0 for COMP). A null `dram` (false `functional`) is a
+  // timing-only run: timing and words are computed, no data moves.
   struct ExecResult {
     double busy_cycles = 0;  ///< module occupancy (datapath width limited)
     double port_cycles = 0;  ///< DRAM port occupancy (bandwidth + burst)
@@ -105,11 +105,11 @@ class Accelerator {
     std::int64_t res_read_words = 0;  ///< SAVE_RES residual-operand reads
     bool uses_port = false;
   };
-  ExecResult ExecLoadInp(const LoadFields& f);
-  ExecResult ExecLoadWgt(const LoadFields& f);
-  ExecResult ExecLoadBias(const LoadFields& f);
-  ExecResult ExecComp(const CompFields& f);
-  ExecResult ExecSave(const SaveFields& f);
+  ExecResult ExecLoadInp(const LoadFields& f, const DramModel* dram);
+  ExecResult ExecLoadWgt(const LoadFields& f, const DramModel* dram);
+  ExecResult ExecLoadBias(const LoadFields& f, const DramModel* dram);
+  ExecResult ExecComp(const CompFields& f, bool functional);
+  ExecResult ExecSave(const SaveFields& f, DramModel* dram);
 
   /// Fused-segment resident store access: returns a pointer to `words`
   /// mirror words at DRAM address `addr`, growing the zero-filled mirror to
@@ -127,9 +127,7 @@ class Accelerator {
 
   AccelConfig cfg_;
   FpgaSpec spec_;
-  DramModel& dram_;
   double bw_elems_per_cycle_;
-  bool functional_ = true;
   std::int64_t words_moved_read_ = 0;
   std::int64_t words_moved_written_ = 0;
 

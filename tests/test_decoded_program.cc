@@ -120,15 +120,15 @@ TEST(DecodedProgramTest, ReuseAcrossResetIsBitAndCycleIdentical) {
 
   const std::int64_t dram_words = cm.total_dram_words + 1024;
   DramModel dram(dram_words);
-  Accelerator accel(cfg, spec, dram);
+  Accelerator accel(cfg, spec);
 
   const auto run = [&](bool use_decoded) {
     dram.Reset(dram_words);
     WriteWeightImages(cm, model, weights, dram);
     StageInputFmap(dram, cm.input_region(0), first.input_layout, input,
                    first.cp_in);
-    SimStats stats =
-        use_decoded ? accel.Run(*cm.decoded) : accel.Run(cm.program);
+    SimStats stats = use_decoded ? accel.Run(*cm.decoded, &dram)
+                                 : accel.Run(cm.program, &dram);
     Tensor<std::int16_t> out =
         CollectOutputFmap(dram, cm.output_region(model.num_layers() - 1),
                           last.output_layout, last.out_shape, last.cp_out);

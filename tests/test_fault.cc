@@ -222,9 +222,9 @@ TEST(RuntimeIntegrityTest, CorruptionInCollectionWindowThrowsOrServesSilently) {
   ASSERT_GT(threshold, 0);
 
   // Integrity ON: the flip is caught at collection -> IntegrityError.
-  // (dram() exists only after the first Execute; Reset restarts the access
-  // counters each epoch but armed faults survive, so the epoch-relative
-  // threshold is exact.)
+  // (dram() exists only after the first functional Execute; Reset restarts
+  // the access counters each epoch but armed faults survive, so the
+  // epoch-relative threshold is exact.)
   {
     Runtime rt(fx.cfg, TestSpec());
     rt.set_integrity_check(true);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "frontend/parser.h"
+#include "isa/codec.h"
 #include "nn/builders.h"
 #include "runtime/design_flow.h"
 #include "runtime/runtime.h"
@@ -197,15 +200,24 @@ TEST(ResidentWeightsTest, WarmExecuteStagesNothing) {
   EXPECT_EQ(rt.dram()->words_written(), cold_written - fx.cm.fmap_base)
       << "a warm Execute writes its input and fmaps, no weight words";
 
-  // A timing-only run resets the whole image: the next functional run
-  // stages it again, then steady state resumes.
+  // A timing-only run touches no DRAM, so the next functional run stays
+  // warm, even after a timing-only run of a different model.
   rt.Execute(fx.model, fx.cm, {}, {}, /*functional=*/false);
   rt.Execute(fx.model, fx.cm, fx.weights, input);
-  EXPECT_EQ(rt.dram()->words_written(), cold_written);
-  rt.Execute(fx.model, fx.cm, fx.weights, input);
   EXPECT_EQ(rt.dram()->words_written(), cold_written - fx.cm.fmap_base);
+  const Model other = BuildTinyResidualBlock();
+  const CompiledModel other_cm =
+      Compiler(fx.cfg, TestSpec())
+          .Compile(other, std::vector<LayerMapping>(
+                              static_cast<std::size_t>(other.num_layers()),
+                              {ConvMode::kSpatial, Dataflow::kInputStationary}));
+  rt.Execute(other, other_cm, {}, {}, /*functional=*/false);
+  const RunReport warm = rt.Execute(fx.model, fx.cm, fx.weights, input);
+  EXPECT_EQ(rt.dram()->words_written(), cold_written - fx.cm.fmap_base);
+  EXPECT_EQ(warm.output, fx.Golden(fx.cm, input));
 
-  // So does any exception, here a bad input shape thrown after the reset.
+  // Any exception in a functional run drops the claim, here a bad input
+  // shape thrown after the reset.
   EXPECT_THROW(rt.Execute(fx.model, fx.cm, fx.weights,
                           Tensor<std::int16_t>(Shape{1, 1, 1})),
                InvalidArgument);
@@ -216,6 +228,45 @@ TEST(ResidentWeightsTest, WarmExecuteStagesNothing) {
   // A write through dram() between runs is seen too.
   const std::int16_t word0 = rt.dram()->ViewRun(0, 1)[0];
   rt.dram()->WriteRun(0, 1)[0] = word0;
+  rt.Execute(fx.model, fx.cm, fx.weights, input);
+  EXPECT_EQ(rt.dram()->words_written(), cold_written);
+}
+
+// A hand-built stream (no cached decode) is stream-checked on every Execute:
+// with no DRAM behind a timing-only run, the check is its only guard. The
+// last SAVE is moved into the weight image, as the stream-check tests build
+// it. A functional throw drops the resident claim; a timing-only throw
+// leaves it, since that run touched no DRAM.
+TEST(ResidentWeightsTest, HandBuiltStreamIsCheckedInBothModes) {
+  ResidentFixture fx;
+  CompiledModel bad = fx.cm;
+  bad.decoded.reset();
+  const auto save = std::find_if(
+      bad.program.rbegin(), bad.program.rend(), [](const Instruction& instr) {
+        return PeekOpcode(instr) == Opcode::kSave;
+      });
+  ASSERT_NE(save, bad.program.rend());
+  auto f = std::get<SaveFields>(Decode(*save));
+  f.dram_base = static_cast<std::uint32_t>(bad.fmap_base - 1);
+  *save = Encode(f);
+
+  const auto& input = fx.inputs[0];
+  Runtime rt(fx.cfg, TestSpec());
+  EXPECT_THROW(rt.Execute(fx.model, bad, {}, {}, /*functional=*/false),
+               InternalError);
+  EXPECT_EQ(rt.dram(), nullptr);
+  EXPECT_THROW(rt.Execute(fx.model, bad, fx.weights, input), InternalError);
+
+  rt.Execute(fx.model, fx.cm, fx.weights, input);
+  const std::int64_t cold_written = rt.dram()->words_written();
+  EXPECT_THROW(rt.Execute(fx.model, bad, {}, {}, /*functional=*/false),
+               InternalError);
+  const RunReport warm = rt.Execute(fx.model, fx.cm, fx.weights, input);
+  EXPECT_EQ(rt.dram()->words_written(), cold_written - fx.cm.fmap_base)
+      << "a timing-only throw dropped the resident claim";
+  EXPECT_EQ(warm.output, fx.Golden(fx.cm, input));
+
+  EXPECT_THROW(rt.Execute(fx.model, bad, fx.weights, input), InternalError);
   rt.Execute(fx.model, fx.cm, fx.weights, input);
   EXPECT_EQ(rt.dram()->words_written(), cold_written);
 }

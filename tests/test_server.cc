@@ -536,8 +536,9 @@ TEST(InferenceServerTest, IntegrityRetryRecoversFromInjectedCorruption) {
   const std::int64_t slab_base = cm.output_region(f.model.num_layers() - 1);
 
   // The first execute trips the CRC check; one in-place retry (the armed
-  // fault is single-shot) serves the clean result. Registration profiled on
-  // the engine's Runtime, so its DRAM model exists to arm.
+  // fault is single-shot) serves the clean result. Registration profiled
+  // timing-only, so one functional run builds the engine Runtime's DRAM.
+  f.engine.RuntimeFor(f.cfg).Execute(f.model, cm, f.weights, input);
   DramModel* dram = f.engine.RuntimeFor(f.cfg).dram();
   ASSERT_NE(dram, nullptr);
   dram->ArmFault({threshold, slab_base, 0x0001});
@@ -575,7 +576,9 @@ TEST(InferenceServerTest, IntegrityFailureWithoutRetryBudgetFailsClosed) {
 
   // Zero retry budget: the detected corruption is a terminal kFailed, never
   // a silently-served bad result, and the trace goes on: the second arrival
-  // runs on the same runtime, clean again once the fault was consumed.
+  // runs on the same runtime, clean again once the fault was consumed. One
+  // functional run builds the engine Runtime's DRAM to arm.
+  f.engine.RuntimeFor(f.cfg).Execute(f.model, cm, f.weights, input);
   DramModel* dram = f.engine.RuntimeFor(f.cfg).dram();
   ASSERT_NE(dram, nullptr);
   dram->ArmFault({threshold, slab_base, 0x0001});

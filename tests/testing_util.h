@@ -4,6 +4,8 @@
 #ifndef HDNN_TESTS_TESTING_UTIL_H_
 #define HDNN_TESTS_TESTING_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <vector>
 
@@ -117,7 +119,9 @@ struct EndToEndResult {
 };
 
 /// Compiles and runs `model` on the simulator with the given mapping, and
-/// computes the golden result for comparison.
+/// computes the golden result for comparison. Also checks that a timing-only
+/// run of the same program, on a fresh Runtime, builds no DRAM and reports
+/// the functional run's SimStats and per-layer cycles exactly.
 inline EndToEndResult RunEndToEnd(const Model& model, const AccelConfig& cfg,
                                   const FpgaSpec& spec,
                                   std::vector<LayerMapping> mapping,
@@ -132,6 +136,14 @@ inline EndToEndResult RunEndToEnd(const Model& model, const AccelConfig& cfg,
   result.report = runtime.Execute(model, result.compiled, weights, input,
                                   /*functional=*/true);
   result.sim_out = result.report.output;
+
+  Runtime timing(cfg, spec);
+  const RunReport timed = timing.Execute(model, result.compiled, {}, {},
+                                         /*functional=*/false);
+  EXPECT_EQ(timing.dram(), nullptr) << "a timing-only run built a DRAM";
+  EXPECT_TRUE(timed.stats == result.report.stats)
+      << "timing-only SimStats differ from the functional run's";
+  EXPECT_EQ(timed.layer_cycles, result.report.layer_cycles);
   // The compiler may have overridden dataflows (CB/slice legality); use the
   // final plans' modes for the golden run.
   std::vector<LayerMapping> effective;
