@@ -69,27 +69,25 @@ inline double SimulateLayerBestFlow(const Model& model, ConvMode mode,
   return best;
 }
 
-/// Best-dataflow analytical estimate for a mode.
+/// Best-dataflow analytical estimate for a mode, over the dataflows
+/// DataflowLegal allows (the DSE's rule).
 inline double EstimateLayerBestFlow(const Model& model, ConvMode mode,
                                     const AccelConfig& cfg,
                                     const FpgaSpec& spec) {
   double best = 1e300;
-  for (Dataflow flow :
-       {Dataflow::kInputStationary, Dataflow::kWeightStationary}) {
-    try {
-      const GroupCounts g =
-          ComputeGroups(model.layer(0), model.InputOf(0), mode, cfg);
-      if (g.slices > 1 && flow != Dataflow::kInputStationary) continue;
-      if (g.cb > 1 &&
-          (flow != Dataflow::kWeightStationary || g.fmap_groups() != 1)) {
-        continue;
-      }
+  try {
+    const GroupCounts g =
+        ComputeGroups(model.layer(0), model.InputOf(0), mode, cfg);
+    for (Dataflow flow :
+         {Dataflow::kInputStationary, Dataflow::kWeightStationary}) {
+      if (!DataflowLegal(g, flow)) continue;
       best = std::min(best, EstimateLayerLatency(model.layer(0),
                                                  model.InputOf(0), mode, flow,
                                                  cfg, spec)
                                 .total);
-    } catch (const Error&) {
     }
+  } catch (const Error&) {
+    // mode not schedulable on this config
   }
   return best;
 }

@@ -22,9 +22,9 @@
 // measured QPS against the planner's allocation.
 //
 // FleetSimTest.PortfolioScenarioIsStableAndBeatsNaive (tests/test_fleet.cc)
-// replays this scenario at the --smoke size and checks it: the plan does
-// not depend on the DSE's thread count, reruns are bit-identical, and the
-// portfolio reaches >= 1.3x the naive fleet's QPS or QPS per joule.
+// replays this scenario at the --smoke size and checks it: reruns are
+// bit-identical, and the portfolio reaches >= 1.3x the naive fleet's QPS or
+// QPS per joule.
 //
 // JSON goes to stdout AND a file (default ./BENCH_fleet.json, override
 // with argv[1]). `--smoke` shortens the trace.
@@ -154,10 +154,8 @@ int main(int argc, char** argv) {
   popts.power_budget_watts = 76.0;
   popts.max_boards = 16;
 
-  DseOptions dse;
-  dse.num_threads = 1;
   const std::vector<BoardCandidate> candidates =
-      BuildBoardCandidates(platforms, models, dse);
+      BuildBoardCandidates(platforms, models);
 
   const int naive_idx = NaiveBestCandidate(candidates, classes);
   const PortfolioPlan naive =

@@ -2,10 +2,10 @@
 // .hdnn spec format, an AlexNet-style model (large 11x11/5x5 kernels that
 // exercise the Winograd kernel-decomposition path), and compare the DSE's
 // hybrid mapping against forced all-Spatial and all-Winograd mappings.
-// Then the multi-objective view: the parallel DSE's Pareto frontier for a
-// ResNet-18-style network (1x1/3x3/7x7 kernels, stride-2 downsampling) on
-// the same board — the latency/resource/power menu a deployment would pick
-// from when the best-throughput point overshoots its power budget.
+// Then the multi-objective view: the DSE's Pareto frontier for ResNet-18
+// (1x1/3x3/7x7 kernels, stride-2 downsampling, residual adds) on the same
+// board — the latency/resource/power menu a deployment would pick from when
+// the best-throughput point overshoots its power budget.
 #include <cstdio>
 
 #include "compiler/compiler.h"
@@ -72,13 +72,10 @@ static_watts 2.0
 
   // Multi-objective exploration of a second workload on the same board:
   // every Pareto-optimal design for true ResNet-18 (real residual adds —
-  // the estimator charges the SAVE stage for the skip-tensor reads),
-  // evaluated with all available cores and the engine's memo cache
-  // (bit-identical to a serial exploration).
+  // the estimator charges the SAVE stage for the skip-tensor reads). The
+  // engine's memo cache answers the layer geometries ResNet's stages repeat.
   const Model resnet = BuildResNet18();
-  DseOptions opts;
-  opts.num_threads = 0;  // hardware concurrency
-  const DseFrontier frontier = dse.ExploreFrontier(resnet, opts);
+  const DseFrontier frontier = dse.ExploreFrontier(resnet);
   std::printf("\nPareto frontier for %s (%d candidates evaluated):\n",
               resnet.name().c_str(), frontier.candidates_evaluated);
   std::printf("  %-28s %10s %6s %6s %6s %8s\n", "config", "ms/image", "lut%",

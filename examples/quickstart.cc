@@ -51,7 +51,8 @@ fc   name=fc    out=10
   }
   std::printf("]\n\n");
 
-  // Step 3's other artifact: the HLS template configuration header.
+  // Step 3's build summary: instances, per-die placement and estimated
+  // resources of the chosen design point.
   std::printf("%s", GenerateBuildSummary(result.dse.config, spec).c_str());
   return 0;
 }

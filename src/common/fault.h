@@ -6,7 +6,7 @@
 // of the injected schedule (which word a corruption flips, with which mask)
 // is drawn from Prng(seed).Fork(event_index) — a pure function of
 // (seed, event list). The materialized schedule is therefore byte-identical
-// across reruns, machines, DSE thread counts and router decision volumes,
+// across reruns, machines, threads and router decision volumes,
 // which is what lets a chaos run replay bit-identically and lets the chaos
 // bench self-check its own determinism.
 //

@@ -88,10 +88,10 @@ struct CompiledModel {
   /// queues, built (and stream-checked) by Compiler::Compile so every
   /// execution — each batch item of a serving engine in particular — starts
   /// at the simulator's scheduler loop. Shared by copies of this
-  /// CompiledModel and across worker threads (it is immutable). Invariant:
-  /// anything that mutates `program` afterwards must reset `decoded` (or
-  /// the simulator would execute the stale stream); Runtime::Execute falls
-  /// back to validate + decode per run when it is null.
+  /// CompiledModel (it is immutable). Invariant: anything that mutates
+  /// `program` afterwards must reset `decoded` (or the simulator would
+  /// execute the stale stream); Runtime::Execute falls back to validate +
+  /// decode per run when it is null.
   std::shared_ptr<const DecodedProgram> decoded;
   std::vector<LayerPlan> plans;
   std::int64_t fmap_region_words = 0;  ///< uniform fmap slot size

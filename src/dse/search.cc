@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <future>
 #include <limits>
-#include <thread>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "compiler/fusion.h"
 #include "platform/power_model.h"
 #include "platform/profile_constants.h"
@@ -38,17 +34,11 @@ constexpr int kMaxNi = 8;
 constexpr int kMaxPi = 16;
 constexpr double kTieFraction = 0.05;
 
-int ResolveThreads(int num_threads) {
-  if (num_threads > 0) return num_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 }  // namespace
 
 void DseOptions::Validate() const {
-  HDNN_CHECK(num_threads >= 0)
-      << "DseOptions.num_threads must be >= 0 (0 = hardware concurrency), "
+  HDNN_CHECK(num_threads == 1)
+      << "DseOptions.num_threads must be 1 (the search is single-threaded), "
          "got " << num_threads;
 }
 
@@ -283,8 +273,7 @@ DseEngine::Evaluation DseEngine::EvaluateCandidates(
   inputs.reserve(static_cast<std::size_t>(num_layers));
   for (int i = 0; i < num_layers; ++i) inputs.push_back(model.InputOf(i));
 
-  // Step 2 for one candidate. Pure given (model, cfg, memo values), so the
-  // schedule of these tasks over workers cannot change any result.
+  // Step 2 for one candidate.
   auto evaluate = [&](const AccelConfig& cfg) {
     CandidateScore score;
     score.mapping.reserve(static_cast<std::size_t>(num_layers));
@@ -300,45 +289,10 @@ DseEngine::Evaluation DseEngine::EvaluateCandidates(
     return score;
   };
 
-  // Fan out over the pool, then merge in enumeration order: the result is
-  // a plain indexed gather, so 1, 4 and N workers produce identical bits.
   Evaluation ev;
-  ev.scores.resize(candidates_.size());
-  const int threads = std::min<int>(ResolveThreads(opts.num_threads),
-                                    static_cast<int>(candidates_.size()));
-  if (threads > 1) {
-    // The engine's pool is reused across Explore calls; it is only
-    // (re)created when the resolved worker count changes.
-    std::shared_ptr<ThreadPool> pool;
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      if (pool_ == nullptr || pool_->num_threads() != threads) {
-        pool_ = std::make_shared<ThreadPool>(threads);
-      }
-      pool = pool_;
-    }
-    std::vector<std::future<CandidateScore>> futures;
-    futures.reserve(candidates_.size());
-    for (const Candidate& cand : candidates_) {
-      futures.push_back(
-          pool->Submit([&evaluate, &cand] { return evaluate(cand.cfg); }));
-    }
-    // Drain every future before rethrowing: queued tasks capture this
-    // frame's locals by reference, so unwinding mid-loop while the
-    // long-lived pool still runs them would be a use-after-free.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      try {
-        ev.scores[i] = futures[i].get();
-      } catch (...) {
-        if (first_error == nullptr) first_error = std::current_exception();
-      }
-    }
-    if (first_error != nullptr) std::rethrow_exception(first_error);
-  } else {
-    for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      ev.scores[i] = evaluate(candidates_[i].cfg);
-    }
+  ev.scores.reserve(candidates_.size());
+  for (const Candidate& cand : candidates_) {
+    ev.scores.push_back(evaluate(cand.cfg));
   }
 
   // The feasible subset, in enumeration order.

@@ -18,22 +18,22 @@
 // balanced (PI == PO) and more-replicated designs, which is what multi-die
 // timing closure favours (paper Sec. 1 and Sec. 6.1).
 //
-// Beyond the paper, the engine is built for portfolio-scale sweeps:
-//   * candidate evaluation (step 2) fans out over a common/thread_pool.h
-//     worker pool and merges results in enumeration order, so Explore and
-//     ExploreFrontier are bit-identical for any worker count;
+// All three steps run serially on the caller's thread, evaluating the
+// candidates in enumeration order. Beyond the paper, the engine is built for
+// portfolio-scale sweeps:
 //   * per-(layer geometry, mode, config) latency queries are memoized in a
-//     shared read-mostly cache that persists across Explore calls on one
-//     engine — sweeps over model families stop recomputing identical layers;
+//     cache that persists across Explore calls on one engine — sweeps over
+//     model families stop recomputing identical layers;
 //   * ExploreFrontier returns the full Pareto frontier over {throughput
 //     objective, LUT/DSP/BRAM utilization, estimated power}, with Explore
 //     kept as the thin best-point wrapper the rest of the repo consumes.
+//
+// A DseEngine is single-threaded: its memo cache is unsynchronized, so one
+// engine must not be used from two threads at once.
 #ifndef HDNN_DSE_SEARCH_H_
 #define HDNN_DSE_SEARCH_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/types.h"
@@ -45,15 +45,12 @@
 
 namespace hdnn {
 
-class ThreadPool;
-
 struct DseOptions {
   bool allow_winograd = true;  ///< false = Spatial-only baseline accelerator
-  /// Worker threads for candidate evaluation: 1 = in-caller serial loop,
-  /// N > 1 = pool of N workers, 0 = std::thread::hardware_concurrency().
-  /// Results are bit-identical for every setting.
+  /// Must be 1 (Validate throws otherwise): every step runs on the
+  /// caller's thread. The field remains for callers that still set it.
   int num_threads = 1;
-  /// Consult / fill the engine's shared latency memo cache. Off recomputes
+  /// Consult / fill the engine's latency memo cache. Off recomputes
   /// every query (the pre-memoization behaviour); results are identical.
   bool use_memo = true;
   /// Score fused segments (compiler/fusion.h): after the per-layer mode /
@@ -144,9 +141,8 @@ class DseEngine {
 
   const FpgaSpec& spec() const { return spec_; }
 
-  /// Shared memo-cache observability (hits/misses since construction).
+  /// Memo-cache observability (hits/misses since construction).
   LatencyMemoCache::Stats cache_stats() const { return memo_.stats(); }
-  std::size_t cache_entries() const { return memo_.size(); }
 
  private:
   /// A feasible enumerated candidate with the resource estimates computed
@@ -172,8 +168,8 @@ class DseEngine {
   };
 
   /// Best (mode, dataflow) for one layer on one config — the single source
-  /// of the mode/dataflow selection rule, shared by BestMapping and the
-  /// candidate fan-out.
+  /// of the mode/dataflow selection rule, shared by BestMapping and
+  /// EvaluateCandidates.
   struct LayerChoice {
     bool feasible = false;
     LayerMapping mapping;
@@ -187,7 +183,7 @@ class DseEngine {
   /// chains for `cfg`, re-scores each chain with resident hand-offs (mode
   /// kept, dataflow re-picked) and adopts it when it beats the unfused
   /// chain. Updates `mapping` (fuse_output + dataflow) and `total_cycles`
-  /// in place. Shared by BestMapping and the candidate fan-out so Explore /
+  /// in place. Shared by BestMapping and EvaluateCandidates so Explore /
   /// ExploreFrontier and the compiled result agree on the decision.
   void ApplyFusion(const Model& model, const AccelConfig& cfg,
                    const DseOptions& opts, std::vector<LayerMapping>* mapping,
@@ -221,11 +217,6 @@ class DseEngine {
   std::vector<Candidate> candidates_;  ///< step 1, in enumeration order
 
   mutable LatencyMemoCache memo_;
-  /// Lazily created, reused across Explore calls (recreated only when the
-  /// requested worker count changes); shared_ptr so concurrent calls keep
-  /// their pool alive across a resize.
-  mutable std::mutex pool_mu_;
-  mutable std::shared_ptr<ThreadPool> pool_;
 };
 
 }  // namespace hdnn

@@ -1,7 +1,5 @@
 #include "estimator/latency_cache.h"
 
-#include <mutex>
-
 namespace hdnn {
 namespace {
 
@@ -18,11 +16,6 @@ std::uint64_t Mix(std::uint64_t x) {
 
 std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t value) {
   return Mix(seed ^ value);
-}
-
-LayerLatencyKey MakeLatencyKey(const ConvLayer& layer, const FmapShape& in,
-                               ConvMode mode, const AccelConfig& cfg) {
-  return MakeLatencyKey(layer, in, mode, cfg, FusionContext{});
 }
 
 LayerLatencyKey MakeLatencyKey(const ConvLayer& layer, const FmapShape& in,
@@ -68,35 +61,19 @@ std::size_t LayerLatencyKeyHash::operator()(const LayerLatencyKey& k) const {
 
 bool LatencyMemoCache::Lookup(const LayerLatencyKey& key,
                               LayerLatencyValue* value) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      *value = it->second;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
+    ++stats_.misses;
+    return false;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  *value = it->second;
+  ++stats_.hits;
+  return true;
 }
 
 void LatencyMemoCache::Insert(const LayerLatencyKey& key,
                               const LayerLatencyValue& value) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  map_.emplace(key, value);  // first writer wins; duplicates are identical
-}
-
-std::size_t LatencyMemoCache::size() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return map_.size();
-}
-
-void LatencyMemoCache::Clear() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  map_.clear();
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+  map_.emplace(key, value);
 }
 
 }  // namespace hdnn

@@ -7,17 +7,13 @@
 // geometry and the latency-relevant accelerator parameters and stores the
 // best-dataflow answer, so repeated sweeps become lookups.
 //
-// The cache is read-mostly and thread-safe: lookups take a shared lock,
-// first-writer inserts take an exclusive lock. Values are pure functions of
-// their key (for a fixed FpgaSpec), so concurrent duplicate computation is
-// benign — every writer stores bit-identical doubles, which is what keeps
-// memoized and cold exploration results exactly equal.
+// Values are pure functions of their key (for a fixed FpgaSpec), which is
+// what keeps memoized and cold exploration results exactly equal. The cache
+// is not synchronized: it belongs to one single-threaded DseEngine.
 #ifndef HDNN_ESTIMATOR_LATENCY_CACHE_H_
 #define HDNN_ESTIMATOR_LATENCY_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <shared_mutex>
 #include <unordered_map>
 
 #include "common/types.h"
@@ -58,11 +54,9 @@ struct LayerLatencyKey {
                          const LayerLatencyKey&) = default;
 };
 
-/// Builds the key for one (layer, input, mode, config) query. The overload
-/// with a FusionContext keys fusion-aware queries — resident streams change
-/// the Eq. 10/11 terms, so fused and unfused answers must not collide.
-LayerLatencyKey MakeLatencyKey(const ConvLayer& layer, const FmapShape& in,
-                               ConvMode mode, const AccelConfig& cfg);
+/// Builds the key for one (layer, input, mode, config) query under a fusion
+/// context — resident streams change the Eq. 10/11 terms, so fused and
+/// unfused answers must not collide.
 LayerLatencyKey MakeLatencyKey(const ConvLayer& layer, const FmapShape& in,
                                ConvMode mode, const AccelConfig& cfg,
                                const FusionContext& fusion);
@@ -93,24 +87,15 @@ class LatencyMemoCache {
   /// Returns true and fills `*value` on a hit. Counts hit/miss.
   bool Lookup(const LayerLatencyKey& key, LayerLatencyValue* value) const;
 
-  /// Inserts (first writer wins; duplicates are bit-identical by purity).
+  /// Stores the answer for `key` (called after a Lookup miss).
   void Insert(const LayerLatencyKey& key, const LayerLatencyValue& value);
 
-  Stats stats() const {
-    return Stats{hits_.load(std::memory_order_relaxed),
-                 misses_.load(std::memory_order_relaxed)};
-  }
-
-  std::size_t size() const;
-
-  void Clear();
+  Stats stats() const { return stats_; }
 
  private:
-  mutable std::shared_mutex mu_;
   std::unordered_map<LayerLatencyKey, LayerLatencyValue, LayerLatencyKeyHash>
       map_;
-  mutable std::atomic<std::int64_t> hits_{0};
-  mutable std::atomic<std::int64_t> misses_{0};
+  mutable Stats stats_;
 };
 
 }  // namespace hdnn

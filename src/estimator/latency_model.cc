@@ -309,29 +309,4 @@ FusionContext FusionContextOf(const Model& model,
   return ctx;
 }
 
-double EstimateModelLatencyCycles(const Model& model,
-                                  const std::vector<LayerMapping>& mapping,
-                                  const AccelConfig& cfg,
-                                  const FpgaSpec& spec) {
-  HDNN_CHECK(static_cast<int>(mapping.size()) == model.num_layers())
-      << "mapping size " << mapping.size() << " vs " << model.num_layers()
-      << " layers";
-  double total = 0;
-  for (int i = 0; i < model.num_layers(); ++i) {
-    const auto& lm = mapping[static_cast<std::size_t>(i)];
-    total += EstimateLayerLatency(model.layer(i), model.InputOf(i), lm.mode,
-                                  lm.dataflow, cfg, spec,
-                                  FusionContextOf(model, mapping, i))
-                 .total;
-  }
-  return total;
-}
-
-double ThroughputGops(double ops, double cycles, const AccelConfig& cfg,
-                      const FpgaSpec& spec) {
-  HDNN_CHECK(cycles > 0) << "cycles must be positive";
-  const double seconds = cycles / (spec.freq_mhz * 1e6);
-  return ops * cfg.ni / seconds / 1e9;
-}
-
 }  // namespace hdnn

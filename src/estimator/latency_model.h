@@ -127,17 +127,6 @@ FusionContext FusionContextOf(const Model& model,
                               const std::vector<LayerMapping>& mapping,
                               int layer);
 
-/// Sum of per-layer latencies for a whole model under a fixed mapping.
-double EstimateModelLatencyCycles(const Model& model,
-                                  const std::vector<LayerMapping>& mapping,
-                                  const AccelConfig& cfg, const FpgaSpec& spec);
-
-/// Effective throughput in GOPS for `ops` operations executed in `cycles`
-/// at the spec frequency by cfg.ni instances (instances process independent
-/// inputs; the bandwidth split is already inside EstimateLayerLatency).
-double ThroughputGops(double ops, double cycles, const AccelConfig& cfg,
-                      const FpgaSpec& spec);
-
 }  // namespace hdnn
 
 #endif  // HDNN_ESTIMATOR_LATENCY_MODEL_H_

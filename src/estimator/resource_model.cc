@@ -157,9 +157,4 @@ bool FitsPerDie(const ResourceEstimate& est, const AccelConfig& cfg,
          inst_per_die * per_inst_bram <= cap * spec.bram18_per_die();
 }
 
-bool FitsOnPlatform(const ResourceEstimate& est, const AccelConfig& cfg,
-                    const FpgaSpec& spec) {
-  return FitsDeviceLimits(est, spec) && FitsPerDie(est, cfg, spec);
-}
-
 }  // namespace hdnn

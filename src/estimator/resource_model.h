@@ -47,10 +47,6 @@ bool FitsDeviceLimits(const ResourceEstimate& est, const FpgaSpec& spec);
 bool FitsPerDie(const ResourceEstimate& est, const AccelConfig& cfg,
                 const FpgaSpec& spec);
 
-/// Combined feasibility: raw totals plus the per-die constraint.
-bool FitsOnPlatform(const ResourceEstimate& est, const AccelConfig& cfg,
-                    const FpgaSpec& spec);
-
 }  // namespace hdnn
 
 #endif  // HDNN_ESTIMATOR_RESOURCE_MODEL_H_

@@ -15,14 +15,6 @@ HealthTracker::HealthTracker(int num_shards, const HealthOptions& options,
   for (Shard& s : shards_) s.last_progress = now;
 }
 
-std::vector<bool> HealthTracker::routable_mask() const {
-  std::vector<bool> mask(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    mask[s] = shards_[s].state == ShardHealth::kHealthy;
-  }
-  return mask;
-}
-
 void HealthTracker::OnProgress(int shard, double now) {
   Shard& s = at(shard);
   if (s.state == ShardHealth::kDown) return;  // permanent
@@ -87,15 +79,6 @@ double HealthTracker::NextDeadline() const {
     }
   }
   return next;
-}
-
-bool HealthTracker::MarkDown(int shard, double now) {
-  Shard& s = at(shard);
-  (void)now;
-  if (s.state == ShardHealth::kDown) return false;
-  s.state = ShardHealth::kDown;
-  ++transitions_;
-  return true;
 }
 
 }  // namespace hdnn

@@ -65,7 +65,6 @@ class HealthTracker {
     return at(shard).state == ShardHealth::kHealthy;
   }
   bool alive(int shard) const { return at(shard).state != ShardHealth::kDown; }
-  std::vector<bool> routable_mask() const;
   /// Total state transitions observed (diagnostics).
   int transitions() const { return transitions_; }
 
@@ -93,11 +92,6 @@ class HealthTracker {
   /// time loops advance to this even when no other event is pending, so
   /// detection fires without traffic to drive it.
   double NextDeadline() const;
-
-  /// Permanently fails a shard (a crash observed out-of-band, e.g. by the
-  /// fault injector killing the process). Returns true if the state
-  /// changed.
-  bool MarkDown(int shard, double now);
 
  private:
   struct Shard {

@@ -13,8 +13,7 @@
 //     offered traffic mix under the power budget: greedy marginal
 //     QPS-per-watt additions followed by bounded local-swap passes. Every
 //     loop iterates in a fixed order with exact tie-breaks, so the plan is
-//     a pure function of its inputs (bit-identical across reruns and across
-//     DSE worker counts, which are themselves deterministic).
+//     a pure function of its inputs (bit-identical across reruns).
 //   * PlanHomogeneous is the naive baseline the bench compares against: one
 //     configuration — the legacy single-objective throughput champion —
 //     replicated until the budget is spent, stranding the residue.
@@ -91,8 +90,8 @@ struct PortfolioPlan {
 /// platform the per-model frontiers are unioned (first-seen order, deduped
 /// by config); every surviving candidate can schedule all `models` (configs
 /// that raise CapacityError for some model are dropped). Deterministic:
-/// candidate order is (platform order, union order), and the frontier
-/// itself is bit-identical for any opts.num_threads.
+/// candidate order is (platform order, union order), and each frontier is
+/// a pure function of (platform, model, opts).
 std::vector<BoardCandidate> BuildBoardCandidates(
     const std::vector<const FpgaSpec*>& platforms,
     const std::vector<const Model*>& models, const DseOptions& opts = {});

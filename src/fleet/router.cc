@@ -14,11 +14,6 @@ Router::Router(int num_shards, const RouterOptions& options)
       << "choices must be non-negative, got " << options.choices;
 }
 
-int Router::Route(const std::vector<double>& load,
-                  const std::vector<bool>& feasible) {
-  return RoutePair(load, feasible).primary;
-}
-
 RouteDecision Router::RoutePair(const std::vector<double>& load,
                                 const std::vector<bool>& feasible) {
   HDNN_CHECK(static_cast<int>(load.size()) == num_shards_ &&

@@ -30,12 +30,12 @@ struct RouterOptions {
   int choices = 2;
 };
 
-/// A routing decision with a hedge target: `primary` is exactly what
-/// Route() would have picked; `hedge` is the second-least-loaded of the
-/// same sampled feasible set (-1 when the set has fewer than two shards).
-/// Near-deadline requests are duplicated onto the hedge shard — first
-/// non-error completion wins; duplicates are harmless because inference is
-/// pure.
+/// A routing decision with a hedge target: `primary` is the least-loaded
+/// sampled feasible shard; `hedge` is the second-least-loaded of the same
+/// sample (-1 when it has fewer than two shards), so a hedge never perturbs
+/// primary routing. Near-deadline requests are duplicated onto the hedge
+/// shard — first non-error completion wins; duplicates are harmless because
+/// inference is pure.
 struct RouteDecision {
   int primary = -1;
   int hedge = -1;
@@ -45,18 +45,13 @@ class Router {
  public:
   Router(int num_shards, const RouterOptions& options);
 
-  /// Picks the shard for one request. `load` is the caller's backlog
+  /// Picks the shards for one request. `load` is the caller's backlog
   /// estimate per shard (any consistent unit; lower = emptier) and
   /// `feasible` masks the shards this request may use; both must have
   /// num_shards entries. Among the sampled feasible shards the least
-  /// loaded wins, ties to the lowest shard index. Returns -1 when no shard
-  /// is feasible (the caller sheds). Each call consumes one decision slot.
-  int Route(const std::vector<double>& load,
-            const std::vector<bool>& feasible);
-
-  /// Route() plus a hedge target from the SAME decision slot and forked
-  /// stream: RoutePair(load, feasible).primary == Route(load, feasible)
-  /// for every input, so enabling hedging never perturbs primary routing.
+  /// loaded is the primary, ties to the lowest shard index; the primary is
+  /// -1 when no shard is feasible (the caller sheds). Each call consumes one
+  /// decision slot.
   RouteDecision RoutePair(const std::vector<double>& load,
                           const std::vector<bool>& feasible);
 

@@ -1,5 +1,8 @@
 #include "frontend/parser.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -7,6 +10,49 @@
 
 namespace hdnn {
 namespace {
+
+/// The values an FPGA spec property accepts.
+enum class SpecRange {
+  kCount,        ///< an integer in [1, 2^31 - 1]
+  kPositive,     ///< finite and > 0
+  kNonNegative,  ///< finite and >= 0
+  kFraction,     ///< in (0, 1]
+};
+
+/// Returns `value` when it lies in `range`; otherwise throws a ParseError
+/// naming the line and the property. Every FPGA spec value passes through
+/// here before it is stored, so no narrowing cast sees an out-of-range value.
+double CheckSpecValue(double value, SpecRange range, const std::string& key,
+                      int line_no) {
+  bool ok = false;
+  const char* want = "";
+  switch (range) {
+    case SpecRange::kCount:
+      ok = value >= 1 && value <= std::numeric_limits<std::int32_t>::max() &&
+           value == std::floor(value);
+      want = "an integer in [1, 2147483647]";
+      break;
+    case SpecRange::kPositive:
+      ok = std::isfinite(value) && value > 0;
+      want = "finite and > 0";
+      break;
+    case SpecRange::kNonNegative:
+      ok = std::isfinite(value) && value >= 0;
+      want = "finite and >= 0";
+      break;
+    case SpecRange::kFraction:
+      ok = value > 0 && value <= 1;
+      want = "in (0, 1]";
+      break;
+  }
+  if (!ok) {
+    std::ostringstream msg;
+    msg << "line " << line_no << ": FPGA property '" << key << "' must be "
+        << want << ", got " << value;
+    throw ParseError(msg.str());
+  }
+  return value;
+}
 
 std::string StripComment(std::string line) {
   const auto hash = line.find('#');
@@ -211,30 +257,32 @@ FpgaSpec ParseFpgaSpecText(const std::string& text) {
       continue;
     }
     double value = 0;
-    if (!(ls >> value)) {
-      throw ParseError("line " + std::to_string(line_no) +
-                       ": expected '" + head + " <number>'");
+    std::string extra;
+    if (!(ls >> value) || ls >> extra) {  // "luts 12abc" is not 12
+      throw ParseError("line " + std::to_string(line_no) + ": FPGA property '" +
+                       head + "' expects one number");
     }
+    const auto checked = [&](SpecRange range) {
+      return CheckSpecValue(value, range, head, line_no);
+    };
     if (head == "luts") {
-      spec.luts = static_cast<long long>(value);
+      spec.luts = static_cast<long long>(checked(SpecRange::kCount));
     } else if (head == "dsps") {
-      spec.dsps = static_cast<long long>(value);
+      spec.dsps = static_cast<long long>(checked(SpecRange::kCount));
     } else if (head == "bram18") {
-      spec.bram18 = static_cast<long long>(value);
+      spec.bram18 = static_cast<long long>(checked(SpecRange::kCount));
     } else if (head == "dies") {
-      spec.dies = static_cast<int>(value);
+      spec.dies = static_cast<int>(checked(SpecRange::kCount));
     } else if (head == "bandwidth_gbps") {
-      spec.dram_bandwidth_gbps = value;
-    } else if (head == "channels") {
-      spec.dram_channels = static_cast<int>(value);
+      spec.dram_bandwidth_gbps = checked(SpecRange::kPositive);
     } else if (head == "freq_mhz") {
-      spec.freq_mhz = value;
+      spec.freq_mhz = checked(SpecRange::kPositive);
     } else if (head == "dsp_pack") {
-      spec.dsp_pack = value;
+      spec.dsp_pack = checked(SpecRange::kPositive);
     } else if (head == "static_watts") {
-      spec.static_watts = value;
+      spec.static_watts = checked(SpecRange::kNonNegative);
     } else if (head == "max_utilization") {
-      spec.max_utilization = value;
+      spec.max_utilization = checked(SpecRange::kFraction);
     } else {
       throw ParseError("line " + std::to_string(line_no) +
                        ": unknown FPGA property '" + head + "'");
@@ -242,7 +290,7 @@ FpgaSpec ParseFpgaSpecText(const std::string& text) {
   }
   if (!named) throw ParseError("FPGA spec has no 'fpga <name>' line");
   HDNN_CHECK(spec.luts > 0 && spec.dsps > 0 && spec.bram18 > 0 &&
-             spec.freq_mhz > 0)
+             spec.freq_mhz > 0 && spec.dram_bandwidth_gbps > 0)
       << "FPGA spec incomplete: " << spec.name;
   return spec;
 }

@@ -47,6 +47,13 @@ std::string WriteModelText(const Model& model);
 ///   freq_mhz 100
 ///   dsp_pack 2
 ///   static_watts 1.25
+///   max_utilization 0.8
+/// The counts (luts, dsps, bram18, dies) are integers in [1, 2^31 - 1];
+/// bandwidth_gbps, freq_mhz and dsp_pack are finite and > 0; static_watts is
+/// >= 0; max_utilization is in (0, 1]. A value outside its range is a
+/// ParseError naming the line and the property, and so is a text without
+/// an `fpga <name>` line. A spec missing luts, dsps, bram18, freq_mhz or
+/// bandwidth_gbps is an InvalidArgument.
 FpgaSpec ParseFpgaSpecText(const std::string& text);
 
 }  // namespace hdnn

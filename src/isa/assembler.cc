@@ -1,9 +1,6 @@
 #include "isa/assembler.h"
 
-#include <map>
 #include <sstream>
-
-#include "common/check.h"
 
 namespace hdnn {
 namespace {
@@ -56,134 +53,6 @@ std::string DisassembleSave(const SaveFields& f) {
   return out.str();
 }
 
-/// key=value scanner shared by all mnemonics.
-class KvScanner {
- public:
-  explicit KvScanner(std::istringstream& in) {
-    std::string token;
-    while (in >> token) {
-      const auto eq = token.find('=');
-      if (eq == std::string::npos) {
-        throw ParseError("malformed token '" + token + "' (expected key=value)");
-      }
-      kv_[token.substr(0, eq)] = token.substr(eq + 1);
-    }
-  }
-
-  bool Has(const std::string& key) const { return kv_.count(key) != 0; }
-
-  std::uint64_t Get(const std::string& key, std::uint64_t fallback = 0) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return fallback;
-    return ParseNumber(it->second, key);
-  }
-
-  /// pad=t,b,l,r
-  void GetPads(std::uint8_t& t, std::uint8_t& b, std::uint8_t& l,
-               std::uint8_t& r) const {
-    const auto it = kv_.find("pad");
-    if (it == kv_.end()) return;
-    std::istringstream ps(it->second);
-    std::string piece;
-    std::uint8_t* slots[4] = {&t, &b, &l, &r};
-    for (int i = 0; i < 4; ++i) {
-      if (!std::getline(ps, piece, ',')) {
-        throw ParseError("pad= expects 4 comma-separated values");
-      }
-      *slots[i] = static_cast<std::uint8_t>(ParseNumber(piece, "pad"));
-    }
-  }
-
- private:
-  static std::uint64_t ParseNumber(const std::string& text,
-                                   const std::string& key) {
-    try {
-      std::size_t used = 0;
-      const std::uint64_t v = std::stoull(text, &used, 0);  // 0x / decimal
-      if (used != text.size()) throw ParseError("");
-      return v;
-    } catch (const std::exception&) {
-      throw ParseError("bad numeric value '" + text + "' for key '" + key +
-                       "'");
-    }
-  }
-
-  std::map<std::string, std::string> kv_;
-};
-
-Instruction AssembleLoad(Opcode op, const KvScanner& kv,
-                         bool keep_resident = false) {
-  LoadFields f;
-  f.op = op;
-  f.keep_resident = keep_resident;
-  f.dept = static_cast<std::uint8_t>(kv.Get("dept"));
-  f.buff_id = static_cast<std::uint8_t>(kv.Get("buff"));
-  f.buff_base = static_cast<std::uint32_t>(kv.Get("base"));
-  f.dram_base = static_cast<std::uint32_t>(kv.Get("dram"));
-  f.rows = static_cast<std::uint16_t>(kv.Get("rows", 1));
-  f.cols = static_cast<std::uint16_t>(kv.Get("cols", 1));
-  f.chan_vecs = static_cast<std::uint16_t>(kv.Get("cv", 1));
-  f.aux = static_cast<std::uint16_t>(kv.Get("aux"));
-  f.pitch = static_cast<std::uint16_t>(kv.Get("pitch"));
-  kv.GetPads(f.pad_t, f.pad_b, f.pad_l, f.pad_r);
-  f.wino = kv.Get("wino") != 0;
-  f.wino_offset = static_cast<std::uint8_t>(kv.Get("woff"));
-  return Encode(f);
-}
-
-Instruction AssembleComp(const KvScanner& kv) {
-  CompFields f;
-  f.dept = static_cast<std::uint8_t>(kv.Get("dept"));
-  f.inp_buff_id = static_cast<std::uint8_t>(kv.Get("ib"));
-  f.wgt_buff_id = static_cast<std::uint8_t>(kv.Get("wb"));
-  f.out_buff_id = static_cast<std::uint8_t>(kv.Get("ob"));
-  f.inp_buff_base = static_cast<std::uint16_t>(kv.Get("ibase"));
-  f.out_buff_base = static_cast<std::uint16_t>(kv.Get("obase"));
-  f.wgt_buff_base = static_cast<std::uint16_t>(kv.Get("wbase"));
-  f.iw_num = static_cast<std::uint16_t>(kv.Get("iw", 1));
-  f.ow_num = static_cast<std::uint16_t>(kv.Get("ow", 1));
-  f.oh_num = static_cast<std::uint8_t>(kv.Get("oh", 1));
-  f.ic_vecs = static_cast<std::uint16_t>(kv.Get("icv", 1));
-  f.oc_vecs = static_cast<std::uint16_t>(kv.Get("ocv", 1));
-  f.stride = static_cast<std::uint8_t>(kv.Get("stride", 1));
-  f.relu = kv.Get("relu") != 0;
-  f.quan = static_cast<std::uint8_t>(kv.Get("quan"));
-  f.wino = kv.Get("wino") != 0;
-  f.wino_offset = static_cast<std::uint8_t>(kv.Get("woff"));
-  f.kh = static_cast<std::uint8_t>(kv.Get("kh", 3));
-  f.kw = static_cast<std::uint8_t>(kv.Get("kw", 3));
-  f.base_row = static_cast<std::uint8_t>(kv.Get("brow"));
-  f.base_col = static_cast<std::uint8_t>(kv.Get("bcol"));
-  f.accum_clear = kv.Get("aclr") != 0;
-  f.accum_emit = kv.Get("aemit") != 0;
-  return Encode(f);
-}
-
-Instruction AssembleSave(const KvScanner& kv, bool res_add,
-                         bool keep_resident = false) {
-  SaveFields f;
-  f.keep_resident = keep_resident;
-  f.dept = static_cast<std::uint8_t>(kv.Get("dept"));
-  f.buff_id = static_cast<std::uint8_t>(kv.Get("buff"));
-  f.buff_base = static_cast<std::uint16_t>(kv.Get("base"));
-  f.dram_base = static_cast<std::uint32_t>(kv.Get("dram"));
-  f.rows = static_cast<std::uint8_t>(kv.Get("rows", 1));
-  f.cols = static_cast<std::uint16_t>(kv.Get("cols", 1));
-  f.oc_vecs = static_cast<std::uint16_t>(kv.Get("ocv", 1));
-  f.layout = static_cast<SaveLayout>(kv.Get("layout"));
-  f.pool = static_cast<std::uint8_t>(kv.Get("pool", 1));
-  f.out_h = static_cast<std::uint16_t>(kv.Get("oh", 1));
-  f.out_w = static_cast<std::uint16_t>(kv.Get("ow", 1));
-  f.oc_pitch = static_cast<std::uint16_t>(kv.Get("ocp", 1));
-  f.res_add = res_add;
-  if (res_add) {
-    f.res_dram_base = static_cast<std::uint32_t>(kv.Get("rdram"));
-    f.res_wino = kv.Get("rwino") != 0;
-    f.relu = kv.Get("relu") != 0;
-  }
-  return Encode(f);
-}
-
 }  // namespace
 
 std::string Disassemble(const Instruction& instr) {
@@ -202,61 +71,6 @@ std::string Disassemble(const Instruction& instr) {
   out << OpcodeName(ctrl.op);
   if (ctrl.dept != 0) out << " dept=0x" << std::hex << int{ctrl.dept};
   return out.str();
-}
-
-std::string DisassembleProgram(const std::vector<Instruction>& program) {
-  std::ostringstream out;
-  for (const Instruction& instr : program) out << Disassemble(instr) << "\n";
-  return out.str();
-}
-
-Instruction AssembleLine(const std::string& line) {
-  std::istringstream in(line);
-  std::string mnemonic;
-  if (!(in >> mnemonic)) throw ParseError("empty instruction line");
-  const KvScanner kv(in);
-  if (mnemonic == "LOAD_INP") return AssembleLoad(Opcode::kLoadInp, kv);
-  if (mnemonic == "LOAD_INP_KR") {
-    return AssembleLoad(Opcode::kLoadInp, kv, /*keep_resident=*/true);
-  }
-  if (mnemonic == "LOAD_WGT") return AssembleLoad(Opcode::kLoadWgt, kv);
-  if (mnemonic == "LOAD_BIAS") return AssembleLoad(Opcode::kLoadBias, kv);
-  if (mnemonic == "COMP") return AssembleComp(kv);
-  if (mnemonic == "SAVE") return AssembleSave(kv, /*res_add=*/false);
-  if (mnemonic == "SAVE_RES") return AssembleSave(kv, /*res_add=*/true);
-  if (mnemonic == "SAVE_KR") {
-    return AssembleSave(kv, /*res_add=*/false, /*keep_resident=*/true);
-  }
-  if (mnemonic == "SAVE_RES_KR") {
-    return AssembleSave(kv, /*res_add=*/true, /*keep_resident=*/true);
-  }
-  if (mnemonic == "NOP" || mnemonic == "END") {
-    CtrlFields f;
-    f.op = mnemonic == "NOP" ? Opcode::kNop : Opcode::kEnd;
-    f.dept = static_cast<std::uint8_t>(kv.Get("dept"));
-    return Encode(f);
-  }
-  throw ParseError("unknown mnemonic: " + mnemonic);
-}
-
-std::vector<Instruction> AssembleProgram(const std::string& text) {
-  std::vector<Instruction> program;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    try {
-      program.push_back(AssembleLine(line));
-    } catch (const ParseError& e) {
-      throw ParseError("line " + std::to_string(line_no) + ": " + e.what());
-    }
-  }
-  return program;
 }
 
 }  // namespace hdnn

@@ -1,34 +1,22 @@
-// Textual assembler / disassembler for HybridDNN instruction streams —
-// the format the instruction-trace example prints and the compiler's debug
-// dumps use. The textual form round-trips: Assemble(Disassemble(p)) == p.
+// Disassembler for HybridDNN instruction streams: one line of text per
+// instruction, the format examples/instruction_trace prints.
 //
-// Syntax, one instruction per line ('#' starts a comment):
-//   LOAD_INP  dept=0x3 buff=1 base=0 dram=1024 rows=6 cols=224 cv=16
-//             aux=224 pad=1,0,1,1 wino=1 woff=0   (single line in practice)
-//   COMP      dept=0x1f ... (key=value pairs, any order after the mnemonic)
-//   SAVE      ...
+//   LOAD_INP dept=0xc buff=1 base=96 dram=4096 rows=6 cols=58 cv=16 aux=56
+//            pitch=56 pad=1,0,1,1 wino=1 woff=2   (one line in practice)
+//   COMP     dept=0x3f ib=1 wb=0 ... (key=value pairs after the mnemonic)
+//   SAVE_RES dept=0x11 ...
 //   END
 #ifndef HDNN_ISA_ASSEMBLER_H_
 #define HDNN_ISA_ASSEMBLER_H_
 
 #include <string>
-#include <vector>
 
 #include "isa/codec.h"
 
 namespace hdnn {
 
-/// Renders one instruction as one line of assembly text.
+/// Renders one instruction as one line of text.
 std::string Disassemble(const Instruction& instr);
-
-/// Renders a whole program.
-std::string DisassembleProgram(const std::vector<Instruction>& program);
-
-/// Parses one line; throws ParseError on malformed input.
-Instruction AssembleLine(const std::string& line);
-
-/// Parses a whole program (skips blank lines and comments).
-std::vector<Instruction> AssembleProgram(const std::string& text);
 
 }  // namespace hdnn
 

@@ -350,20 +350,6 @@ const char* OpcodeName(Opcode op) {
   return "INVALID";
 }
 
-const char* SaveLayoutName(SaveLayout layout) {
-  switch (layout) {
-    case SaveLayout::kSpatToSpat:
-      return "SPAT-to-SPAT";
-    case SaveLayout::kSpatToWino:
-      return "SPAT-to-WINO";
-    case SaveLayout::kWinoToSpat:
-      return "WINO-to-SPAT";
-    case SaveLayout::kWinoToWino:
-      return "WINO-to-WINO";
-  }
-  return "INVALID";
-}
-
 Opcode OpcodeOf(const InstrFields& fields) {
   if (const auto* l = std::get_if<LoadFields>(&fields)) {
     return l->keep_resident ? Opcode::kLoadInpKr : l->op;

@@ -146,8 +146,6 @@ enum class SaveLayout : std::uint8_t {
   kWinoToWino = 3,
 };
 
-const char* SaveLayoutName(SaveLayout layout);
-
 /// Plain SAVE (res_add == false) encodes as opcode 5 with the legacy layout
 /// — its 116 payload bits are fully allocated, so the residual variant is a
 /// distinct opcode (6) with narrower geometry fields making room for the

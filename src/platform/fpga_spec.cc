@@ -27,7 +27,6 @@ std::vector<FpgaSpec> BuildDatabase() {
   vu9p.dies = 3;
   // 4x DDR4-2400 channels at ~83% controller efficiency.
   vu9p.dram_bandwidth_gbps = 64.0;
-  vu9p.dram_channels = 4;
   vu9p.freq_mhz = 167;
   vu9p.dsp_pack = 1.0;
   vu9p.static_watts = 3.2;
@@ -45,7 +44,6 @@ std::vector<FpgaSpec> BuildDatabase() {
   pynq.dies = 1;
   // 16-bit DDR3-1050 through the PS HP ports, ~80% efficiency.
   pynq.dram_bandwidth_gbps = 2.0;
-  pynq.dram_channels = 1;
   pynq.freq_mhz = 100;
   pynq.dsp_pack = 2.0;
   pynq.static_watts = 1.25;
@@ -61,7 +59,6 @@ std::vector<FpgaSpec> BuildDatabase() {
   zcu102.bram18 = 1824;
   zcu102.dies = 1;
   zcu102.dram_bandwidth_gbps = 19.2;
-  zcu102.dram_channels = 1;
   zcu102.freq_mhz = 200;
   zcu102.dsp_pack = 2.0;
   zcu102.static_watts = 2.0;

@@ -21,7 +21,6 @@ struct FpgaSpec {
 
   // Board / memory system.
   double dram_bandwidth_gbps = 0;  ///< aggregate DRAM bandwidth, GB/s
-  int dram_channels = 1;           ///< independent DDR channels
 
   // Operating point.
   double freq_mhz = 0;  ///< achievable clock for the generated accelerator
@@ -41,7 +40,7 @@ struct FpgaSpec {
   long long bram18_per_die() const { return bram18 / dies; }
 
   /// DRAM bandwidth available to one of `ni` concurrent accelerator
-  /// instances (channels are shared evenly).
+  /// instances (the bandwidth is shared evenly).
   double bandwidth_per_instance_gbps(int ni) const {
     return dram_bandwidth_gbps / (ni > 0 ? ni : 1);
   }

@@ -45,7 +45,7 @@ struct DecodedProgram {
 };
 
 /// Validates (ValidateProgram) and decodes `program` once. The result is
-/// immutable and sharable across threads / Accelerator instances.
+/// immutable and sharable across Accelerator instances.
 DecodedProgram DecodeProgram(const std::vector<Instruction>& program);
 
 }  // namespace hdnn

@@ -22,15 +22,6 @@ Tensor<std::int16_t> QuantizeTensor(const Tensor<float>& t, QuantSpec spec) {
   return out;
 }
 
-Tensor<float> DequantizeTensor(const Tensor<std::int16_t>& t, QuantSpec spec) {
-  Tensor<float> out(t.shape());
-  for (std::int64_t i = 0; i < t.elements(); ++i) {
-    out.flat(i) =
-        static_cast<float>(DequantizeValue(t.flat(i), spec.frac_bits));
-  }
-  return out;
-}
-
 QuantSpec ChooseFracBitsForMagnitude(double max_mag, int bits,
                                      int max_frac_bits) {
   HDNN_CHECK(std::isfinite(max_mag) && max_mag >= 0)

@@ -26,9 +26,6 @@ inline constexpr QuantSpec kWeightQuant{8, 6};    // int8 weights, Q1.6
 /// silently in the narrowing cast even though the values saturated.
 Tensor<std::int16_t> QuantizeTensor(const Tensor<float>& t, QuantSpec spec);
 
-/// Dequantises back to float (exact for in-range values).
-Tensor<float> DequantizeTensor(const Tensor<std::int16_t>& t, QuantSpec spec);
-
 /// Picks the smallest frac_bits in [0, max_frac_bits] that keeps a value of
 /// magnitude `max_mag` representable in `bits` signed bits without
 /// saturation. A zero magnitude (e.g. an all-zero tensor) yields

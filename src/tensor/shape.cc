@@ -11,10 +11,6 @@ Shape::Shape(std::initializer_list<std::int64_t> dims)
   for (auto d : dims_) HDNN_CHECK(d >= 0) << "negative dim in " << ToString();
 }
 
-Shape::Shape(std::vector<std::int64_t> dims) : dims_(std::move(dims)) {
-  for (auto d : dims_) HDNN_CHECK(d >= 0) << "negative dim in " << ToString();
-}
-
 std::int64_t Shape::dim(int i) const {
   HDNN_CHECK(i >= 0 && i < rank()) << "dim index " << i << " out of rank "
                                    << rank();
@@ -25,15 +21,6 @@ std::int64_t Shape::elements() const {
   std::int64_t n = 1;
   for (auto d : dims_) n *= d;
   return n;
-}
-
-std::vector<std::int64_t> Shape::strides() const {
-  std::vector<std::int64_t> s(dims_.size(), 1);
-  for (int i = rank() - 2; i >= 0; --i) {
-    s[static_cast<std::size_t>(i)] =
-        s[static_cast<std::size_t>(i + 1)] * dims_[static_cast<std::size_t>(i + 1)];
-  }
-  return s;
 }
 
 std::string Shape::ToString() const {

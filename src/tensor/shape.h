@@ -12,12 +12,11 @@
 namespace hdnn {
 
 /// An N-dimensional dense shape. Dims are non-negative; rank may be zero
-/// (scalar). Strides are derived row-major (last dim contiguous).
+/// (scalar). Elements are laid out row-major (last dim contiguous).
 class Shape {
  public:
   Shape() = default;
   Shape(std::initializer_list<std::int64_t> dims);
-  explicit Shape(std::vector<std::int64_t> dims);
 
   int rank() const { return static_cast<int>(dims_.size()); }
   std::int64_t dim(int i) const;
@@ -25,9 +24,6 @@ class Shape {
 
   /// Total element count (product of dims; 1 for scalar).
   std::int64_t elements() const;
-
-  /// Row-major strides, in elements.
-  std::vector<std::int64_t> strides() const;
 
   /// Flat index of the given coordinate (rank- and bounds-checked).
   /// Allocation-free: Tensor::at calls it on every element access.

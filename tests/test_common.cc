@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <future>
 #include <limits>
 #include <set>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "common/fixed_point.h"
 #include "common/math_util.h"
 #include "common/prng.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 
 namespace hdnn {
@@ -368,33 +366,6 @@ TEST(PrngTest, DoubleInUnitInterval) {
     EXPECT_GE(v, 0.0);
     EXPECT_LT(v, 1.0);
   }
-}
-
-// --- thread pool ---
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  int sum = 0;
-  for (auto& f : futures) sum += f.get();
-  int expect = 0;
-  for (int i = 0; i < 64; ++i) expect += i * i;
-  EXPECT_EQ(sum, expect);
-}
-
-TEST(ThreadPoolTest, PropagatesExceptionsThroughFutures) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([]() -> int { throw InvalidArgument("boom"); });
-  EXPECT_THROW(f.get(), InvalidArgument);
-}
-
-TEST(ThreadPoolTest, RejectsNonPositiveSize) {
-  EXPECT_THROW(ThreadPool(0), InvalidArgument);
-  EXPECT_THROW(ThreadPool(-3), InvalidArgument);
 }
 
 // --- types ---

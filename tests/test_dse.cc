@@ -157,8 +157,11 @@ TEST(DseOptionsTest, InvalidOptionsThrowInsteadOfEmptySearch) {
 TEST(DseOptionsTest, ValidOptionsPassValidation) {
   DseOptions opts;  // defaults
   EXPECT_NO_THROW(opts.Validate());
-  opts.num_threads = 0;  // 0 = hardware concurrency, explicitly legal
-  EXPECT_NO_THROW(opts.Validate());
+  // The search is single-threaded: any thread count but 1 is rejected.
+  for (int threads : {0, 2}) {
+    opts.num_threads = threads;
+    EXPECT_THROW(opts.Validate(), InvalidArgument) << threads;
+  }
 }
 
 TEST(DseExploreTest, InfeasibleModelThrows) {

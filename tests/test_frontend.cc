@@ -273,5 +273,53 @@ TEST(FpgaSpecParserTest, UnknownPropertyFails) {
   EXPECT_THROW(ParseFpgaSpecText("fpga x\nwombats 3\n"), ParseError);
 }
 
+// A complete nine-line spec with `tail` appended from line 10 on; a repeated
+// property overrides the earlier value.
+std::string SpecWith(const std::string& tail) {
+  return "fpga b\nluts 53200\ndsps 220\nbram18 280\ndies 1\n"
+         "bandwidth_gbps 2.0\nfreq_mhz 100\ndsp_pack 2\nstatic_watts 1.25\n" +
+         tail + "\n";
+}
+
+TEST(FpgaSpecParserTest, EveryValueIsATypedErrorOrAValidField) {
+  // Each value outside its property's range is a ParseError that names the
+  // line and the property, never a wrapped or truncated field.
+  for (const std::string bad :
+       {"luts 1e30", "dies 1e30", "dies 2.5", "dies 0", "luts -1",
+        "dsps 2147483648", "bram18 0.5", "bandwidth_gbps 0",
+        "freq_mhz -100", "dsp_pack 0", "static_watts -1",
+        "max_utilization 0", "max_utilization 1.5", "luts 12abc",
+        "channels 4"}) {
+    SCOPED_TRACE(bad);
+    try {
+      ParseFpgaSpecText(SpecWith(bad));
+      ADD_FAILURE() << "parsed";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 10"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + bad.substr(0, bad.find(' ')) + "'"),
+                std::string::npos)
+          << what;
+    } catch (const Error& e) {
+      ADD_FAILURE() << "not a ParseError: " << e.what();
+    }
+  }
+
+  // The edges of each range parse.
+  const FpgaSpec edge = ParseFpgaSpecText(
+      SpecWith("dsps 2147483647\ndies 3\nstatic_watts 0\n"
+               "max_utilization 1\ndsp_pack 0.5"));
+  EXPECT_EQ(edge.dsps, 2147483647);
+  EXPECT_EQ(edge.dies, 3);
+  EXPECT_EQ(edge.static_watts, 0.0);
+  EXPECT_EQ(edge.max_utilization, 1.0);
+  EXPECT_EQ(edge.dsp_pack, 0.5);
+
+  // The bandwidth is required, like the resources and the clock.
+  EXPECT_THROW(ParseFpgaSpecText("fpga b\nluts 1\ndsps 1\nbram18 1\n"
+                                 "freq_mhz 100\n"),
+               InvalidArgument);
+}
+
 }  // namespace
 }  // namespace hdnn

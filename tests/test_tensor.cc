@@ -26,12 +26,6 @@ TEST(ShapeTest, ScalarShape) {
   EXPECT_EQ(s.elements(), 1);
 }
 
-TEST(ShapeTest, StridesAreRowMajor) {
-  const Shape s{2, 3, 4};
-  const auto st = s.strides();
-  EXPECT_EQ(st, (std::vector<std::int64_t>{12, 4, 1}));
-}
-
 TEST(ShapeTest, FlatIndexMatchesStrides) {
   const Shape s{2, 3, 4};
   EXPECT_EQ(s.FlatIndex({0, 0, 0}), 0);
@@ -146,8 +140,12 @@ TEST(QuantizeTest, RoundTripInRange) {
   Tensor<float> t(Shape{64});
   t.FillRandomReal(prng, -10.0, 10.0);
   const auto q = QuantizeTensor(t, kFeatureQuant);
-  const auto d = DequantizeTensor(q, kFeatureQuant);
-  EXPECT_LE(MaxAbsDiff(t, d), 0.5 / 64 + 1e-6);
+  for (std::int64_t i = 0; i < t.elements(); ++i) {
+    EXPECT_LE(std::abs(static_cast<double>(t.flat(i)) -
+                       DequantizeValue(q.flat(i), kFeatureQuant.frac_bits)),
+              0.5 / 64 + 1e-6)
+        << "i=" << i;
+  }
 }
 
 TEST(QuantizeTest, SaturatesOutOfRange) {
@@ -238,10 +236,9 @@ TEST(QuantizeTest, RoundTripErrorBoundedByHalfUlp) {
       Tensor<float> t(Shape{256});
       t.FillRandomReal(prng, lo, hi);
       const auto q = QuantizeTensor(t, QuantSpec{bits, frac});
-      const auto d = DequantizeTensor(q, QuantSpec{bits, frac});
       for (std::int64_t i = 0; i < t.elements(); ++i) {
         EXPECT_LE(std::abs(static_cast<double>(t.flat(i)) -
-                           static_cast<double>(d.flat(i))),
+                           DequantizeValue(q.flat(i), frac)),
                   step / 2 + 1e-9)
             << "bits=" << bits << " frac=" << frac << " v=" << t.flat(i);
       }

@@ -33,7 +33,6 @@ inline FpgaSpec TestSpec() {
   spec.bram18 = 2000;
   spec.dies = 1;
   spec.dram_bandwidth_gbps = 12.8;
-  spec.dram_channels = 1;
   spec.freq_mhz = 200;
   spec.dsp_pack = 1.0;
   spec.static_watts = 2.0;
