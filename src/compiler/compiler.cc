@@ -22,14 +22,16 @@ int Lcm(int a, int b) { return a / std::gcd(a, b) * b; }
 
 /// Stores a codegen value into an instruction field. A bare narrowing cast
 /// would wrap a value the field's type cannot hold (a 65540-wide fmap into
-/// a 16-bit pitch, a stride of 257 into 8 bits) into one that passes the
-/// codec's bit-width check, compiling a program that computes something
-/// else. The codec still checks the field's exact bit width.
+/// a 16-bit pitch) into one that passes the codec's width check, compiling
+/// a program that computes something else. The codec still checks the
+/// field's width in its format list (isa/fields.h).
 template <typename Field>
 void Put(Field& field, std::int64_t value, const char* name) {
-  HDNN_CHECK(value >= 0 && static_cast<std::uint64_t>(value) <=
-                               std::numeric_limits<Field>::max())
-      << "instruction field " << name << " cannot hold " << value;
+  if (value < 0 ||
+      static_cast<std::uint64_t>(value) > std::numeric_limits<Field>::max()) {
+    throw FieldOverflow("instruction field " + std::string(name) +
+                        " cannot hold " + std::to_string(value));
+  }
   field = static_cast<Field>(value);
 }
 
@@ -107,7 +109,14 @@ class Codegen {
     cm.base_shift = kBaseShift;
     PlanLayers(cm);
     AllocateDram(cm);
-    for (int i = 0; i < model_.num_layers(); ++i) EmitLayer(cm, i);
+    for (int i = 0; i < model_.num_layers(); ++i) {
+      try {
+        EmitLayer(cm, i);
+      } catch (const FieldOverflow& e) {
+        throw CapacityError("layer " + model_.layer(i).name + ": " +
+                            e.what());
+      }
+    }
     CtrlFields end;
     end.op = Opcode::kEnd;
     cm.program.push_back(Encode(InstrFields{end}));
@@ -682,11 +691,9 @@ CompiledModel Compiler::Compile(const Model& model,
   }
   Codegen codegen(model, mapping, cfg_, spec_, quant);
   CompiledModel cm = codegen.Run();
-  // QA + decode once at compile time: the stream check and the decoded
-  // per-module queues used to run per Runtime::Execute; hoisting them here
-  // means every batch item of a serving engine starts at the scheduler loop.
-  RequireValidStream(cm);
-  cm.decoded = std::make_shared<const DecodedProgram>(DecodeProgram(cm.program));
+  // Decode once and QA that decode at compile time: every Runtime::Execute
+  // of this model then starts at the scheduler loop.
+  cm.decoded = std::make_shared<const DecodedProgram>(RequireValidStream(cm));
   return cm;
 }
 

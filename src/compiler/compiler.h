@@ -90,8 +90,8 @@ struct CompiledModel {
   /// at the simulator's scheduler loop. Shared by copies of this
   /// CompiledModel (it is immutable). Invariant: anything that mutates
   /// `program` afterwards must reset `decoded` (or the simulator would
-  /// execute the stale stream); Runtime::Execute falls back to validate +
-  /// decode per run when it is null.
+  /// execute the stale stream); when it is null, each Runtime::Execute
+  /// decodes the program once, checks that decode and runs it.
   std::shared_ptr<const DecodedProgram> decoded;
   std::vector<LayerPlan> plans;
   std::int64_t fmap_region_words = 0;  ///< uniform fmap slot size

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "isa/codec.h"
+#include "sim/decoded_program.h"
 
 namespace hdnn {
 namespace {
@@ -16,11 +16,11 @@ class Checker {
       : cm_(cm),
         resident_slot_(static_cast<std::size_t>(cm.fmap_slots), false) {}
 
-  StreamCheckReport Run() {
-    ValidateProgram(cm_.program);
-    for (std::size_t i = 0; i < cm_.program.size(); ++i) {
+  /// Checks `prog`, a decode of cm's program (DecodeProgram validated it).
+  StreamCheckReport Run(const DecodedProgram& prog) {
+    for (std::size_t i = 0; i < prog.size(); ++i) {
       index_ = static_cast<int>(i);
-      const InstrFields f = Decode(cm_.program[i]);
+      const InstrFields& f = prog.fields[i];
       ++report_.instructions;
       if (const auto* l = std::get_if<LoadFields>(&f)) {
         CheckLoad(*l);
@@ -264,11 +264,12 @@ class Checker {
 }  // namespace
 
 StreamCheckReport CheckInstructionStream(const CompiledModel& cm) {
-  return Checker(cm).Run();
+  return Checker(cm).Run(DecodeProgram(cm.program));
 }
 
-void RequireValidStream(const CompiledModel& cm) {
-  const StreamCheckReport report = CheckInstructionStream(cm);
+DecodedProgram RequireValidStream(const CompiledModel& cm) {
+  DecodedProgram prog = DecodeProgram(cm.program);
+  const StreamCheckReport report = Checker(cm).Run(prog);
   if (!report.ok()) {
     std::ostringstream out;
     out << "invalid instruction stream (" << report.violations.size()
@@ -276,6 +277,7 @@ void RequireValidStream(const CompiledModel& cm) {
     for (const std::string& v : report.violations) out << "\n  " << v;
     throw InternalError(out.str());
   }
+  return prog;
 }
 
 }  // namespace hdnn

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "compiler/compiler.h"
+#include "sim/decoded_program.h"
 
 namespace hdnn {
 
@@ -26,12 +27,16 @@ struct StreamCheckReport {
   bool ok() const { return violations.empty(); }
 };
 
-/// Validates `cm.program` against the architecture rules and cm's memory
-/// map. Returns a report with all violations found (empty = clean).
+/// Decodes `cm.program` (not `cm.decoded`, which a caller that edits the
+/// program may have left stale) and validates it against the architecture
+/// rules and cm's memory map. Returns a report with all violations found
+/// (empty = clean).
 StreamCheckReport CheckInstructionStream(const CompiledModel& cm);
 
-/// Throws InternalError with the joined violations if the stream is invalid.
-void RequireValidStream(const CompiledModel& cm);
+/// Decodes `cm.program` once, checks that decode as CheckInstructionStream
+/// does and returns it; throws InternalError with the joined violations if
+/// the stream is invalid.
+DecodedProgram RequireValidStream(const CompiledModel& cm);
 
 }  // namespace hdnn
 

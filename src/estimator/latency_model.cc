@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
+#include "isa/fields.h"
 #include "winograd/decompose.h"
 #include "winograd/matrices.h"
 
@@ -89,10 +90,18 @@ GroupCounts ComputeGroups(const ConvLayer& layer, const FmapShape& in,
                                                  out.width, col_quantum)));
   g.wg = static_cast<int>(CeilDiv(out.width, g.cols_per_group));
 
-  // Kernel-decomposition slices.
+  // Kernel-decomposition slices, each indexed by COMP's wino_offset.
   g.slices = (mode == ConvMode::kWinograd)
                  ? NumKernelSlices(layer.kernel_h, layer.kernel_w)
                  : 1;
+  constexpr std::int64_t kMaxSlices =
+      FieldMax<CompFormat>("wino_offset") + 1;
+  if (g.slices > kMaxSlices) {
+    throw CapacityError(std::to_string(g.slices) +
+                        " Winograd kernel slices exceed the " +
+                        std::to_string(kMaxSlices) +
+                        " COMP wino_offset indexes for layer " + layer.name);
+  }
 
   // Weight groups: one (K-group x C-block) slice must fit a weight-buffer
   // half. Weight vectors carry PI*PO elements.
@@ -104,9 +113,10 @@ GroupCounts ComputeGroups(const ConvLayer& layer, const FmapShape& in,
           : static_cast<std::int64_t>(layer.kernel_h) * layer.kernel_w;
 
   // Prefer the full C per block; shrink C-blocks only when one K-row of
-  // weights cannot fit. The ISA's 12-bit chan_vecs field caps one block at
-  // 4095 channel vectors regardless of buffer capacity.
-  const std::int64_t max_c_block = 4095LL * cfg.pi;
+  // weights cannot fit. LOAD's chan_vecs field caps one block's channel
+  // vectors regardless of buffer capacity.
+  const std::int64_t max_c_block =
+      FieldMax<LoadFormat>("chan_vecs") * cfg.pi;
   std::int64_t c_block = std::min<std::int64_t>(in.channels, max_c_block);
   std::int64_t k_group = out.channels;
   auto group_elems = [&](std::int64_t kg, std::int64_t cb) {

@@ -14,41 +14,45 @@ namespace {
 /// The values an FPGA spec property accepts.
 enum class SpecRange {
   kCount,        ///< an integer in [1, 2^31 - 1]
-  kPositive,     ///< finite and > 0
+  kPositive,     ///< in (0, ceiling]
   kNonNegative,  ///< finite and >= 0
-  kFraction,     ///< in (0, 1]
 };
 
-/// Returns `value` when it lies in `range`; otherwise throws a ParseError
-/// naming the line and the property. Every FPGA spec value passes through
-/// here before it is stored, so no narrowing cast sees an out-of-range value.
+/// Physical ceilings of the clock, the DRAM bandwidth and the MACs packed
+/// per DSP: 10 GHz, 100 TB/s and 64, far above any part (VU9P runs at 167
+/// MHz with 64 GB/s and one MAC per DSP). Past them the modeled run time
+/// underflows toward zero and GOPS overflows to infinity.
+constexpr double kMaxFreqMhz = 1e4;
+constexpr double kMaxBandwidthGbps = 1e5;
+constexpr double kMaxDspPack = 64;
+
+/// Returns `value` when it lies in `range` (for kPositive, up to
+/// `ceiling`); otherwise throws a ParseError naming the line and the
+/// property. Every FPGA spec value passes through here before it is stored,
+/// so no narrowing cast sees an out-of-range value.
 double CheckSpecValue(double value, SpecRange range, const std::string& key,
-                      int line_no) {
+                      int line_no, double ceiling) {
   bool ok = false;
-  const char* want = "";
+  std::ostringstream want;
   switch (range) {
     case SpecRange::kCount:
       ok = value >= 1 && value <= std::numeric_limits<std::int32_t>::max() &&
            value == std::floor(value);
-      want = "an integer in [1, 2147483647]";
+      want << "an integer in [1, 2147483647]";
       break;
     case SpecRange::kPositive:
-      ok = std::isfinite(value) && value > 0;
-      want = "finite and > 0";
+      ok = value > 0 && value <= ceiling;
+      want << "in (0, " << ceiling << "]";
       break;
     case SpecRange::kNonNegative:
       ok = std::isfinite(value) && value >= 0;
-      want = "finite and >= 0";
-      break;
-    case SpecRange::kFraction:
-      ok = value > 0 && value <= 1;
-      want = "in (0, 1]";
+      want << "finite and >= 0";
       break;
   }
   if (!ok) {
     std::ostringstream msg;
     msg << "line " << line_no << ": FPGA property '" << key << "' must be "
-        << want << ", got " << value;
+        << want.str() << ", got " << value;
     throw ParseError(msg.str());
   }
   return value;
@@ -262,8 +266,8 @@ FpgaSpec ParseFpgaSpecText(const std::string& text) {
       throw ParseError("line " + std::to_string(line_no) + ": FPGA property '" +
                        head + "' expects one number");
     }
-    const auto checked = [&](SpecRange range) {
-      return CheckSpecValue(value, range, head, line_no);
+    const auto checked = [&](SpecRange range, double ceiling = 0) {
+      return CheckSpecValue(value, range, head, line_no, ceiling);
     };
     if (head == "luts") {
       spec.luts = static_cast<long long>(checked(SpecRange::kCount));
@@ -274,15 +278,16 @@ FpgaSpec ParseFpgaSpecText(const std::string& text) {
     } else if (head == "dies") {
       spec.dies = static_cast<int>(checked(SpecRange::kCount));
     } else if (head == "bandwidth_gbps") {
-      spec.dram_bandwidth_gbps = checked(SpecRange::kPositive);
+      spec.dram_bandwidth_gbps =
+          checked(SpecRange::kPositive, kMaxBandwidthGbps);
     } else if (head == "freq_mhz") {
-      spec.freq_mhz = checked(SpecRange::kPositive);
+      spec.freq_mhz = checked(SpecRange::kPositive, kMaxFreqMhz);
     } else if (head == "dsp_pack") {
-      spec.dsp_pack = checked(SpecRange::kPositive);
+      spec.dsp_pack = checked(SpecRange::kPositive, kMaxDspPack);
     } else if (head == "static_watts") {
       spec.static_watts = checked(SpecRange::kNonNegative);
     } else if (head == "max_utilization") {
-      spec.max_utilization = checked(SpecRange::kFraction);
+      spec.max_utilization = checked(SpecRange::kPositive, 1);
     } else {
       throw ParseError("line " + std::to_string(line_no) +
                        ": unknown FPGA property '" + head + "'");

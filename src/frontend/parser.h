@@ -21,9 +21,14 @@
 // ParseModelText(WriteModelText(m)) reproduces m (round-trip tested).
 //
 // Limits: every channel count (an `fc` layer's flattened C*H*W input
-// included), fmap height and width, kernel size and stride lies in
-// [1, kMaxModelExtent] = [1, 2^20] (nn/model.h), and the model's total op
-// count fits 64 bits. A text outside them is a line-numbered ParseError.
+// included), fmap height and width lies in [1, kMaxModelExtent] = [1, 2^20],
+// the kernel size in [1, kMaxKernel] = [1, 15] and the stride in
+// [1, kMaxStride] = [1, 4] (nn/model.h; the last two are what COMP's kh/kw
+// and stride fields hold, read from the ISA's format lists), and the
+// model's total op count fits 64 bits. A text outside them is a
+// line-numbered ParseError. A text inside them may still fail to compile,
+// as a CapacityError naming the layer and the field, when an fmap is too
+// wide or tall, or has too many channels, for a LOAD or SAVE field.
 #ifndef HDNN_FRONTEND_PARSER_H_
 #define HDNN_FRONTEND_PARSER_H_
 
@@ -49,7 +54,9 @@ std::string WriteModelText(const Model& model);
 ///   static_watts 1.25
 ///   max_utilization 0.8
 /// The counts (luts, dsps, bram18, dies) are integers in [1, 2^31 - 1];
-/// bandwidth_gbps, freq_mhz and dsp_pack are finite and > 0; static_watts is
+/// bandwidth_gbps is in (0, 1e5], freq_mhz in (0, 1e4] and dsp_pack in
+/// (0, 64], physical ceilings far above any part (VU9P: 64 GB/s, 167 MHz,
+/// one MAC per DSP) that keep modeled time and GOPS finite; static_watts is
 /// >= 0; max_utilization is in (0, 1]. A value outside its range is a
 /// ParseError naming the line and the property, and so is a text without
 /// an `fpga <name>` line. A spec missing luts, dsps, bram18, freq_mhz or

@@ -1,5 +1,8 @@
 #include "isa/codec.h"
 
+#include <iterator>
+#include <sstream>
+
 #include "common/check.h"
 
 namespace hdnn {
@@ -9,84 +12,86 @@ namespace {
 constexpr int kOpcodePos = 124, kOpcodeBits = 4;
 constexpr int kDeptPos = 118, kDeptBits = 6;
 constexpr int kBuffIdPos = 116, kBuffIdBits = 2;
+static_assert(kBuffIdPos == kPayloadBits);
 
-// LOAD payload (116 bits below the header, fully used).
-namespace load {
-constexpr int kBuffBasePos = 102, kBuffBaseBits = 14;
-constexpr int kDramBasePos = 74, kDramBaseBits = 28;
-constexpr int kRowsPos = 66, kRowsBits = 8;
-constexpr int kColsPos = 56, kColsBits = 10;
-constexpr int kChanVecsPos = 44, kChanVecsBits = 12;
-constexpr int kAuxPos = 32, kAuxBits = 12;
-constexpr int kPitchPos = 20, kPitchBits = 12;
-constexpr int kPadTPos = 16, kPadBPos = 12, kPadLPos = 8, kPadRPos = 4;
-constexpr int kPadBits = 4;
-constexpr int kWinoPos = 3;
-constexpr int kWinoOffsetPos = 0, kWinoOffsetBits = 3;
-}  // namespace load
+/// Indexed by opcode value; the opcodes 0..10 are the defined ones.
+constexpr const char* kOpcodeNames[] = {
+    "NOP",      "LOAD_INP", "LOAD_WGT", "LOAD_BIAS",   "COMP",       "SAVE",
+    "SAVE_RES", "END",      "SAVE_KR",  "SAVE_RES_KR", "LOAD_INP_KR"};
+static_assert(std::size(kOpcodeNames) ==
+              static_cast<std::size_t>(Opcode::kLoadInpKr) + 1);
 
-// COMP payload.
-namespace comp {
-constexpr int kInpBasePos = 104, kBaseBits = 12;
-constexpr int kOutBasePos = 92;
-constexpr int kWgtBasePos = 80;
-constexpr int kIwNumPos = 70, kIwNumBits = 10;
-constexpr int kOwNumPos = 60, kOwNumBits = 10;
-constexpr int kOhNumPos = 57, kOhNumBits = 3;
-constexpr int kIcVecsPos = 45, kIcVecsBits = 12;
-constexpr int kOcVecsPos = 33, kOcVecsBits = 12;
-constexpr int kStridePos = 31, kStrideBits = 2;  // encodes stride-1
-constexpr int kReluPos = 30;
-constexpr int kQuanPos = 25, kQuanBits = 5;
-constexpr int kWinoPos = 24;
-constexpr int kWinoOffsetPos = 20, kWinoOffsetBits = 4;
-constexpr int kKhPos = 16, kKBits = 4;
-constexpr int kKwPos = 12;
-constexpr int kBaseRowPos = 8, kBaseRcBits = 4;
-constexpr int kBaseColPos = 4;
-constexpr int kAccumClearPos = 3;
-constexpr int kAccumEmitPos = 2;
-constexpr int kOutBuffIdPos = 1;
-}  // namespace comp
+[[noreturn, gnu::cold, gnu::noinline]] void ThrowFieldOverflow(
+    Opcode op, const char* name, std::uint64_t value, int bits, int bias) {
+  std::ostringstream msg;
+  msg << OpcodeName(op) << " field " << name << " = " << value << " exceeds "
+      << bits << " bits";
+  if (bias != 0) msg << " (they hold " << name << " - " << bias << ")";
+  throw FieldOverflow(msg.str());
+}
 
-// SAVE payload.
-namespace save {
-constexpr int kBuffBasePos = 104, kBuffBaseBits = 12;
-constexpr int kDramBasePos = 72, kDramBaseBits = 32;
-constexpr int kRowsPos = 66, kRowsBits = 6;
-constexpr int kColsPos = 54, kColsBits = 12;
-constexpr int kOcVecsPos = 42, kOcVecsBits = 12;
-constexpr int kLayoutPos = 40, kLayoutBits = 2;
-constexpr int kPoolPos = 37, kPoolBits = 3;
-constexpr int kOutHPos = 25, kDimBits = 12;
-constexpr int kOutWPos = 13;
-constexpr int kOcPitchPos = 0, kOcPitchBits = 13;
-}  // namespace save
+/// Range-checks `value` against its field, then writes `value - bias` into
+/// bits [pos, pos + bits).
+[[gnu::always_inline]] inline void PutField(Word128& w, Opcode op,
+                                            const char* name, int pos,
+                                            int bits, std::uint64_t value,
+                                            int bias) {
+  const std::uint64_t biased = value - static_cast<std::uint64_t>(bias);
+  if (value < static_cast<std::uint64_t>(bias) || biased > LowMask(bits))
+      [[unlikely]] {
+    ThrowFieldOverflow(op, name, value, bits, bias);
+  }
+  SetField(w, pos, bits, biased);
+}
 
-// SAVE_RES payload: the legacy SAVE layout is fully packed, so the residual
-// variant narrows the geometry fields (residual layers are conv-scale, never
-// FC-scale, and cannot fuse a pool) to fit the 28-bit residual source
-// address plus its layout flag and the deferred-ReLU flag.
-namespace save_res {
-constexpr int kBuffBasePos = 112, kBuffBaseBits = 4;
-constexpr int kDramBasePos = 84, kDramBaseBits = 28;
-constexpr int kResDramBasePos = 56, kResDramBaseBits = 28;
-constexpr int kRowsPos = 50, kRowsBits = 6;
-constexpr int kColsPos = 41, kColsBits = 9;
-constexpr int kOcVecsPos = 34, kOcVecsBits = 7;
-constexpr int kLayoutPos = 32, kLayoutBits = 2;
-constexpr int kResWinoPos = 31;
-constexpr int kReluPos = 30;
-constexpr int kOutHPos = 20, kDimBits = 10;
-constexpr int kOutWPos = 10;
-constexpr int kOcPitchPos = 0, kOcPitchBits = 10;
-}  // namespace save_res
+/// Format visitor that range-checks and encodes each field in turn.
+struct FieldWriter {
+  Word128& w;
+  Opcode op;
+  int pos = kPayloadBits;
 
-void EncodeHeader(Word128& w, Opcode op, std::uint8_t dept,
-                  std::uint8_t buff_id) {
+  template <typename T>
+  [[gnu::always_inline]] void operator()(const char* name, int bits,
+                                         const T& member, int bias = 0) {
+    pos -= bits;
+    PutField(w, op, name, pos, bits, static_cast<std::uint64_t>(member),
+             bias);
+  }
+};
+
+/// Format visitor that decodes each field in turn.
+struct FieldReader {
+  const Word128& w;
+  int pos = kPayloadBits;
+
+  template <typename T>
+  [[gnu::always_inline]] void operator()(const char*, int bits, T& member,
+                                         int bias = 0) {
+    pos -= bits;
+    member = static_cast<T>(GetField(w, pos, bits) +
+                            static_cast<std::uint64_t>(bias));
+  }
+};
+
+/// Encodes the header and then `f`'s payload in `Format`. Inlined into each
+/// caller, so every field's position and width fold to constants.
+template <typename Format, typename Fields>
+[[gnu::always_inline]] inline Instruction EncodeAs(Opcode op, const Fields& f,
+                                                   std::uint8_t buff_id) {
+  Word128 w;
   SetField(w, kOpcodePos, kOpcodeBits, static_cast<std::uint64_t>(op));
-  SetField(w, kDeptPos, kDeptBits, dept);
-  SetField(w, kBuffIdPos, kBuffIdBits, buff_id);
+  PutField(w, op, "dept", kDeptPos, kDeptBits, f.dept, 0);
+  PutField(w, op, "buff_id", kBuffIdPos, kBuffIdBits, buff_id, 0);
+  Format::Visit(f, FieldWriter{w, op});
+  return w;
+}
+
+std::uint8_t DecodeDept(const Word128& w) {
+  return static_cast<std::uint8_t>(GetField(w, kDeptPos, kDeptBits));
+}
+
+std::uint8_t DecodeBuffId(const Word128& w) {
+  return static_cast<std::uint8_t>(GetField(w, kBuffIdPos, kBuffIdBits));
 }
 
 Instruction EncodeLoad(const LoadFields& f) {
@@ -95,23 +100,8 @@ Instruction EncodeLoad(const LoadFields& f) {
       << "EncodeLoad with non-load opcode";
   HDNN_CHECK(!f.keep_resident || f.op == Opcode::kLoadInp)
       << "keep_resident applies to LOAD_INP only";
-  Word128 w;
-  EncodeHeader(w, f.keep_resident ? Opcode::kLoadInpKr : f.op, f.dept,
-               f.buff_id);
-  SetField(w, load::kBuffBasePos, load::kBuffBaseBits, f.buff_base);
-  SetField(w, load::kDramBasePos, load::kDramBaseBits, f.dram_base);
-  SetField(w, load::kRowsPos, load::kRowsBits, f.rows);
-  SetField(w, load::kColsPos, load::kColsBits, f.cols);
-  SetField(w, load::kChanVecsPos, load::kChanVecsBits, f.chan_vecs);
-  SetField(w, load::kAuxPos, load::kAuxBits, f.aux);
-  SetField(w, load::kPitchPos, load::kPitchBits, f.pitch);
-  SetField(w, load::kPadTPos, load::kPadBits, f.pad_t);
-  SetField(w, load::kPadBPos, load::kPadBits, f.pad_b);
-  SetField(w, load::kPadLPos, load::kPadBits, f.pad_l);
-  SetField(w, load::kPadRPos, load::kPadBits, f.pad_r);
-  SetField(w, load::kWinoPos, 1, f.wino ? 1 : 0);
-  SetField(w, load::kWinoOffsetPos, load::kWinoOffsetBits, f.wino_offset);
-  return w;
+  return EncodeAs<LoadFormat>(f.keep_resident ? Opcode::kLoadInpKr : f.op, f,
+                              f.buff_id);
 }
 
 LoadFields DecodeLoad(const Word128& w, Opcode op) {
@@ -120,234 +110,63 @@ LoadFields DecodeLoad(const Word128& w, Opcode op) {
   // `op` stays the architectural LOAD_INP.
   f.keep_resident = op == Opcode::kLoadInpKr;
   f.op = f.keep_resident ? Opcode::kLoadInp : op;
-  f.dept = static_cast<std::uint8_t>(GetField(w, kDeptPos, kDeptBits));
-  f.buff_id = static_cast<std::uint8_t>(GetField(w, kBuffIdPos, kBuffIdBits));
-  f.buff_base =
-      static_cast<std::uint32_t>(GetField(w, load::kBuffBasePos, load::kBuffBaseBits));
-  f.dram_base =
-      static_cast<std::uint32_t>(GetField(w, load::kDramBasePos, load::kDramBaseBits));
-  f.rows = static_cast<std::uint16_t>(GetField(w, load::kRowsPos, load::kRowsBits));
-  f.cols = static_cast<std::uint16_t>(GetField(w, load::kColsPos, load::kColsBits));
-  f.chan_vecs = static_cast<std::uint16_t>(
-      GetField(w, load::kChanVecsPos, load::kChanVecsBits));
-  f.aux = static_cast<std::uint16_t>(GetField(w, load::kAuxPos, load::kAuxBits));
-  f.pitch =
-      static_cast<std::uint16_t>(GetField(w, load::kPitchPos, load::kPitchBits));
-  f.pad_t = static_cast<std::uint8_t>(GetField(w, load::kPadTPos, load::kPadBits));
-  f.pad_b = static_cast<std::uint8_t>(GetField(w, load::kPadBPos, load::kPadBits));
-  f.pad_l = static_cast<std::uint8_t>(GetField(w, load::kPadLPos, load::kPadBits));
-  f.pad_r = static_cast<std::uint8_t>(GetField(w, load::kPadRPos, load::kPadBits));
-  f.wino = GetField(w, load::kWinoPos, 1) != 0;
-  f.wino_offset = static_cast<std::uint8_t>(
-      GetField(w, load::kWinoOffsetPos, load::kWinoOffsetBits));
+  f.dept = DecodeDept(w);
+  f.buff_id = DecodeBuffId(w);
+  LoadFormat::Visit(f, FieldReader{w});
   return f;
 }
 
 Instruction EncodeComp(const CompFields& f) {
-  Word128 w;
-  HDNN_CHECK(f.stride >= 1 && f.stride <= 4) << "COMP stride " << int{f.stride};
-  HDNN_CHECK(f.inp_buff_id <= 1 && f.wgt_buff_id <= 1 && f.out_buff_id <= 1)
+  // COMP's BUFF_ID packs the input and weight halves, one bit each.
+  HDNN_CHECK(f.inp_buff_id <= 1 && f.wgt_buff_id <= 1)
       << "buffer halves are 0/1";
-  const std::uint8_t buff_id =
-      static_cast<std::uint8_t>(f.inp_buff_id | (f.wgt_buff_id << 1));
-  EncodeHeader(w, Opcode::kComp, f.dept, buff_id);
-  SetField(w, comp::kInpBasePos, comp::kBaseBits, f.inp_buff_base);
-  SetField(w, comp::kOutBasePos, comp::kBaseBits, f.out_buff_base);
-  SetField(w, comp::kWgtBasePos, comp::kBaseBits, f.wgt_buff_base);
-  SetField(w, comp::kIwNumPos, comp::kIwNumBits, f.iw_num);
-  SetField(w, comp::kOwNumPos, comp::kOwNumBits, f.ow_num);
-  SetField(w, comp::kOhNumPos, comp::kOhNumBits, f.oh_num);
-  SetField(w, comp::kIcVecsPos, comp::kIcVecsBits, f.ic_vecs);
-  SetField(w, comp::kOcVecsPos, comp::kOcVecsBits, f.oc_vecs);
-  SetField(w, comp::kStridePos, comp::kStrideBits,
-           static_cast<std::uint64_t>(f.stride - 1));
-  SetField(w, comp::kReluPos, 1, f.relu ? 1 : 0);
-  SetField(w, comp::kQuanPos, comp::kQuanBits, f.quan);
-  SetField(w, comp::kWinoPos, 1, f.wino ? 1 : 0);
-  SetField(w, comp::kWinoOffsetPos, comp::kWinoOffsetBits, f.wino_offset);
-  SetField(w, comp::kKhPos, comp::kKBits, f.kh);
-  SetField(w, comp::kKwPos, comp::kKBits, f.kw);
-  SetField(w, comp::kBaseRowPos, comp::kBaseRcBits, f.base_row);
-  SetField(w, comp::kBaseColPos, comp::kBaseRcBits, f.base_col);
-  SetField(w, comp::kAccumClearPos, 1, f.accum_clear ? 1 : 0);
-  SetField(w, comp::kAccumEmitPos, 1, f.accum_emit ? 1 : 0);
-  SetField(w, comp::kOutBuffIdPos, 1, f.out_buff_id);
-  return w;
+  return EncodeAs<CompFormat>(
+      Opcode::kComp, f,
+      static_cast<std::uint8_t>(f.inp_buff_id | (f.wgt_buff_id << 1)));
 }
 
 CompFields DecodeComp(const Word128& w) {
   CompFields f;
-  f.dept = static_cast<std::uint8_t>(GetField(w, kDeptPos, kDeptBits));
-  const auto buff_id = GetField(w, kBuffIdPos, kBuffIdBits);
+  f.dept = DecodeDept(w);
+  const std::uint8_t buff_id = DecodeBuffId(w);
   f.inp_buff_id = static_cast<std::uint8_t>(buff_id & 1);
   f.wgt_buff_id = static_cast<std::uint8_t>((buff_id >> 1) & 1);
-  f.inp_buff_base =
-      static_cast<std::uint16_t>(GetField(w, comp::kInpBasePos, comp::kBaseBits));
-  f.out_buff_base =
-      static_cast<std::uint16_t>(GetField(w, comp::kOutBasePos, comp::kBaseBits));
-  f.wgt_buff_base =
-      static_cast<std::uint16_t>(GetField(w, comp::kWgtBasePos, comp::kBaseBits));
-  f.iw_num = static_cast<std::uint16_t>(GetField(w, comp::kIwNumPos, comp::kIwNumBits));
-  f.ow_num = static_cast<std::uint16_t>(GetField(w, comp::kOwNumPos, comp::kOwNumBits));
-  f.oh_num = static_cast<std::uint8_t>(GetField(w, comp::kOhNumPos, comp::kOhNumBits));
-  f.ic_vecs =
-      static_cast<std::uint16_t>(GetField(w, comp::kIcVecsPos, comp::kIcVecsBits));
-  f.oc_vecs =
-      static_cast<std::uint16_t>(GetField(w, comp::kOcVecsPos, comp::kOcVecsBits));
-  f.stride = static_cast<std::uint8_t>(
-      GetField(w, comp::kStridePos, comp::kStrideBits) + 1);
-  f.relu = GetField(w, comp::kReluPos, 1) != 0;
-  f.quan = static_cast<std::uint8_t>(GetField(w, comp::kQuanPos, comp::kQuanBits));
-  f.wino = GetField(w, comp::kWinoPos, 1) != 0;
-  f.wino_offset = static_cast<std::uint8_t>(
-      GetField(w, comp::kWinoOffsetPos, comp::kWinoOffsetBits));
-  f.kh = static_cast<std::uint8_t>(GetField(w, comp::kKhPos, comp::kKBits));
-  f.kw = static_cast<std::uint8_t>(GetField(w, comp::kKwPos, comp::kKBits));
-  f.base_row =
-      static_cast<std::uint8_t>(GetField(w, comp::kBaseRowPos, comp::kBaseRcBits));
-  f.base_col =
-      static_cast<std::uint8_t>(GetField(w, comp::kBaseColPos, comp::kBaseRcBits));
-  f.accum_clear = GetField(w, comp::kAccumClearPos, 1) != 0;
-  f.accum_emit = GetField(w, comp::kAccumEmitPos, 1) != 0;
-  f.out_buff_id = static_cast<std::uint8_t>(GetField(w, comp::kOutBuffIdPos, 1));
+  CompFormat::Visit(f, FieldReader{w});
   return f;
 }
 
-/// One range check per narrowed SAVE_RES field: residual layers always fit
-/// (conv-scale geometry), and a violation must fail loudly at compile time
-/// of the model rather than silently truncate an address.
-void CheckFits(std::uint64_t value, int bits, const char* what) {
-  HDNN_CHECK(value < (1ull << bits))
-      << "SAVE_RES field " << what << " = " << value << " exceeds " << bits
-      << " bits";
-}
-
 Instruction EncodeSave(const SaveFields& f) {
-  Word128 w;
   if (!f.res_add) {
     HDNN_CHECK(!f.relu)
         << "SAVE without a residual add cannot carry a ReLU (COMP fuses it)";
-    EncodeHeader(w, f.keep_resident ? Opcode::kSaveKr : Opcode::kSave, f.dept,
-                 f.buff_id);
-    SetField(w, save::kBuffBasePos, save::kBuffBaseBits, f.buff_base);
-    SetField(w, save::kDramBasePos, save::kDramBaseBits, f.dram_base);
-    SetField(w, save::kRowsPos, save::kRowsBits, f.rows);
-    SetField(w, save::kColsPos, save::kColsBits, f.cols);
-    SetField(w, save::kOcVecsPos, save::kOcVecsBits, f.oc_vecs);
-    SetField(w, save::kLayoutPos, save::kLayoutBits,
-             static_cast<std::uint64_t>(f.layout));
-    SetField(w, save::kPoolPos, save::kPoolBits, f.pool);
-    SetField(w, save::kOutHPos, save::kDimBits, f.out_h);
-    SetField(w, save::kOutWPos, save::kDimBits, f.out_w);
-    SetField(w, save::kOcPitchPos, save::kOcPitchBits, f.oc_pitch);
-    return w;
+    return EncodeAs<SaveFormat>(
+        f.keep_resident ? Opcode::kSaveKr : Opcode::kSave, f, f.buff_id);
   }
   HDNN_CHECK(f.pool == 1) << "SAVE_RES cannot fuse a max-pool";
-  CheckFits(f.buff_base, save_res::kBuffBaseBits, "buff_base");
-  CheckFits(f.dram_base, save_res::kDramBaseBits, "dram_base");
-  CheckFits(f.res_dram_base, save_res::kResDramBaseBits, "res_dram_base");
-  CheckFits(f.rows, save_res::kRowsBits, "rows");
-  CheckFits(f.cols, save_res::kColsBits, "cols");
-  CheckFits(f.oc_vecs, save_res::kOcVecsBits, "oc_vecs");
-  CheckFits(f.out_h, save_res::kDimBits, "out_h");
-  CheckFits(f.out_w, save_res::kDimBits, "out_w");
-  CheckFits(f.oc_pitch, save_res::kOcPitchBits, "oc_pitch");
-  EncodeHeader(w, f.keep_resident ? Opcode::kSaveResKr : Opcode::kSaveRes,
-               f.dept, f.buff_id);
-  SetField(w, save_res::kBuffBasePos, save_res::kBuffBaseBits, f.buff_base);
-  SetField(w, save_res::kDramBasePos, save_res::kDramBaseBits, f.dram_base);
-  SetField(w, save_res::kResDramBasePos, save_res::kResDramBaseBits,
-           f.res_dram_base);
-  SetField(w, save_res::kRowsPos, save_res::kRowsBits, f.rows);
-  SetField(w, save_res::kColsPos, save_res::kColsBits, f.cols);
-  SetField(w, save_res::kOcVecsPos, save_res::kOcVecsBits, f.oc_vecs);
-  SetField(w, save_res::kLayoutPos, save_res::kLayoutBits,
-           static_cast<std::uint64_t>(f.layout));
-  SetField(w, save_res::kResWinoPos, 1, f.res_wino ? 1 : 0);
-  SetField(w, save_res::kReluPos, 1, f.relu ? 1 : 0);
-  SetField(w, save_res::kOutHPos, save_res::kDimBits, f.out_h);
-  SetField(w, save_res::kOutWPos, save_res::kDimBits, f.out_w);
-  SetField(w, save_res::kOcPitchPos, save_res::kOcPitchBits, f.oc_pitch);
-  return w;
+  return EncodeAs<SaveResFormat>(
+      f.keep_resident ? Opcode::kSaveResKr : Opcode::kSaveRes, f, f.buff_id);
 }
 
 SaveFields DecodeSave(const Word128& w, Opcode op) {
   SaveFields f;
   f.keep_resident = op == Opcode::kSaveKr || op == Opcode::kSaveResKr;
-  f.dept = static_cast<std::uint8_t>(GetField(w, kDeptPos, kDeptBits));
-  f.buff_id = static_cast<std::uint8_t>(GetField(w, kBuffIdPos, kBuffIdBits));
+  f.dept = DecodeDept(w);
+  f.buff_id = DecodeBuffId(w);
   if (op == Opcode::kSave || op == Opcode::kSaveKr) {
-    f.buff_base = static_cast<std::uint16_t>(
-        GetField(w, save::kBuffBasePos, save::kBuffBaseBits));
-    f.dram_base = static_cast<std::uint32_t>(
-        GetField(w, save::kDramBasePos, save::kDramBaseBits));
-    f.rows = static_cast<std::uint8_t>(GetField(w, save::kRowsPos, save::kRowsBits));
-    f.cols = static_cast<std::uint16_t>(GetField(w, save::kColsPos, save::kColsBits));
-    f.oc_vecs =
-        static_cast<std::uint16_t>(GetField(w, save::kOcVecsPos, save::kOcVecsBits));
-    f.layout = static_cast<SaveLayout>(GetField(w, save::kLayoutPos, save::kLayoutBits));
-    f.pool = static_cast<std::uint8_t>(GetField(w, save::kPoolPos, save::kPoolBits));
-    f.out_h = static_cast<std::uint16_t>(GetField(w, save::kOutHPos, save::kDimBits));
-    f.out_w = static_cast<std::uint16_t>(GetField(w, save::kOutWPos, save::kDimBits));
-    f.oc_pitch =
-        static_cast<std::uint16_t>(GetField(w, save::kOcPitchPos, save::kOcPitchBits));
+    SaveFormat::Visit(f, FieldReader{w});
     return f;
   }
   f.res_add = true;
   f.pool = 1;
-  f.buff_base = static_cast<std::uint16_t>(
-      GetField(w, save_res::kBuffBasePos, save_res::kBuffBaseBits));
-  f.dram_base = static_cast<std::uint32_t>(
-      GetField(w, save_res::kDramBasePos, save_res::kDramBaseBits));
-  f.res_dram_base = static_cast<std::uint32_t>(
-      GetField(w, save_res::kResDramBasePos, save_res::kResDramBaseBits));
-  f.rows = static_cast<std::uint8_t>(
-      GetField(w, save_res::kRowsPos, save_res::kRowsBits));
-  f.cols = static_cast<std::uint16_t>(
-      GetField(w, save_res::kColsPos, save_res::kColsBits));
-  f.oc_vecs = static_cast<std::uint16_t>(
-      GetField(w, save_res::kOcVecsPos, save_res::kOcVecsBits));
-  f.layout = static_cast<SaveLayout>(
-      GetField(w, save_res::kLayoutPos, save_res::kLayoutBits));
-  f.res_wino = GetField(w, save_res::kResWinoPos, 1) != 0;
-  f.relu = GetField(w, save_res::kReluPos, 1) != 0;
-  f.out_h = static_cast<std::uint16_t>(
-      GetField(w, save_res::kOutHPos, save_res::kDimBits));
-  f.out_w = static_cast<std::uint16_t>(
-      GetField(w, save_res::kOutWPos, save_res::kDimBits));
-  f.oc_pitch = static_cast<std::uint16_t>(
-      GetField(w, save_res::kOcPitchPos, save_res::kOcPitchBits));
+  SaveResFormat::Visit(f, FieldReader{w});
   return f;
 }
 
 }  // namespace
 
 const char* OpcodeName(Opcode op) {
-  switch (op) {
-    case Opcode::kNop:
-      return "NOP";
-    case Opcode::kLoadInp:
-      return "LOAD_INP";
-    case Opcode::kLoadWgt:
-      return "LOAD_WGT";
-    case Opcode::kLoadBias:
-      return "LOAD_BIAS";
-    case Opcode::kComp:
-      return "COMP";
-    case Opcode::kSave:
-      return "SAVE";
-    case Opcode::kSaveRes:
-      return "SAVE_RES";
-    case Opcode::kEnd:
-      return "END";
-    case Opcode::kSaveKr:
-      return "SAVE_KR";
-    case Opcode::kSaveResKr:
-      return "SAVE_RES_KR";
-    case Opcode::kLoadInpKr:
-      return "LOAD_INP_KR";
-  }
-  return "INVALID";
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kOpcodeNames) ? kOpcodeNames[i] : "INVALID";
 }
 
 Opcode OpcodeOf(const InstrFields& fields) {
@@ -372,28 +191,17 @@ Instruction Encode(const InstrFields& fields) {
   HDNN_CHECK(ctrl.op == Opcode::kNop || ctrl.op == Opcode::kEnd)
       << "control instruction must be NOP or END";
   Word128 w;
-  EncodeHeader(w, ctrl.op, ctrl.dept, 0);
+  SetField(w, kOpcodePos, kOpcodeBits, static_cast<std::uint64_t>(ctrl.op));
+  PutField(w, ctrl.op, "dept", kDeptPos, kDeptBits, ctrl.dept, 0);
   return w;
 }
 
 Opcode PeekOpcode(const Instruction& instr) {
   const auto raw = GetField(instr, kOpcodePos, kOpcodeBits);
-  switch (raw) {
-    case 0:
-    case 1:
-    case 2:
-    case 3:
-    case 4:
-    case 5:
-    case 6:
-    case 7:
-    case 8:
-    case 9:
-    case 10:
-      return static_cast<Opcode>(raw);
-    default:
-      throw InvalidArgument("invalid opcode " + std::to_string(raw));
+  if (raw >= std::size(kOpcodeNames)) {
+    throw InvalidArgument("invalid opcode " + std::to_string(raw));
   }
+  return static_cast<Opcode>(raw);
 }
 
 InstrFields Decode(const Instruction& instr) {
@@ -412,12 +220,8 @@ InstrFields Decode(const Instruction& instr) {
     case Opcode::kSaveResKr:
       return DecodeSave(instr, op);
     case Opcode::kNop:
-    case Opcode::kEnd: {
-      CtrlFields f;
-      f.op = op;
-      f.dept = static_cast<std::uint8_t>(GetField(instr, kDeptPos, kDeptBits));
-      return f;
-    }
+    case Opcode::kEnd:
+      return CtrlFields{op, DecodeDept(instr)};
   }
   throw InternalError("unreachable opcode in Decode");
 }

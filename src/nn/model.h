@@ -19,16 +19,26 @@
 #include <vector>
 
 #include "common/check.h"
+#include "isa/fields.h"
 
 namespace hdnn {
 
 /// Largest channel count (an FC layer's flattened input included), fmap
-/// height or width, kernel size or stride a model may hold. Bounding each
-/// extent keeps every window, slab and address the toolchain derives from
-/// them far inside 64 bits; the one product that can still overflow, the
-/// MAC count, is checked where it is formed (ConvLayer::Macs,
-/// Model::Append).
+/// height or width a model may hold. Bounding each extent keeps every
+/// window, slab and address the toolchain derives from them far inside 64
+/// bits; the one product that can still overflow, the MAC count, is checked
+/// where it is formed (ConvLayer::Macs, Model::Append).
 inline constexpr int kMaxModelExtent = 1 << 20;
+
+/// Largest kernel height or width, and stride, a layer may have: what
+/// COMP's `kh` / `kw` and `stride` fields hold (isa/fields.h). Both bind in
+/// every mode: a Winograd mapping needs stride 1, and a kernel above this
+/// needs more slices than COMP's `wino_offset` indexes (ComputeGroups).
+inline constexpr int kMaxKernel =
+    static_cast<int>(FieldMax<CompFormat>("kh"));
+inline constexpr int kMaxStride =
+    static_cast<int>(FieldMax<CompFormat>("stride"));
+static_assert(FieldMax<CompFormat>("kw") == kMaxKernel);
 
 /// Spatial geometry of one convolution layer's input.
 struct FmapShape {
@@ -66,12 +76,13 @@ struct ConvLayer {
     HDNN_CHECK(in_range(in_channels) && in_range(out_channels))
         << name << ": channels " << in_channels << " -> " << out_channels
         << " outside [1, " << kMaxModelExtent << "]";
-    HDNN_CHECK(in_range(kernel_h) && in_range(kernel_w))
+    HDNN_CHECK(kernel_h >= 1 && kernel_h <= kMaxKernel && kernel_w >= 1 &&
+               kernel_w <= kMaxKernel)
         << name << ": kernel " << kernel_h << "x" << kernel_w
-        << " outside [1, " << kMaxModelExtent << "]";
-    HDNN_CHECK(in_range(stride))
-        << name << ": stride " << stride << " outside [1, " << kMaxModelExtent
-        << "]";
+        << " outside [1, " << kMaxKernel << "], the COMP kh/kw limit";
+    HDNN_CHECK(stride >= 1 && stride <= kMaxStride)
+        << name << ": stride " << stride << " outside [1, " << kMaxStride
+        << "], the COMP stride limit";
     HDNN_CHECK(pad >= 0) << name << ": bad pad";
     // A pad wider than the kernel puts whole output windows inside the
     // padding, which the compiler's input-group geometry cannot represent.

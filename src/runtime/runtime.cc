@@ -85,11 +85,13 @@ RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
   const std::optional<ResidentImage> resident =
       functional ? std::exchange(resident_, {}) : std::nullopt;
   HDNN_CHECK(cm.cfg == cfg_) << "compiled model targets a different config";
-  // Compiler-produced models were stream-checked and decoded at compile
-  // time (cm.decoded); only hand-built CompiledModels pay per-run QA, in
-  // both modes. The check also proves no SAVE lands in the weight image
-  // kept below.
-  if (!cm.decoded) RequireValidStream(cm);
+  // Compiler-produced models were decoded and stream-checked at compile
+  // time (cm.decoded); a hand-built CompiledModel is decoded once here, in
+  // both modes, and that checked decode is what runs. The check also
+  // proves no SAVE lands in the weight image kept below.
+  std::optional<DecodedProgram> checked;
+  if (!cm.decoded) checked = RequireValidStream(cm);
+  const DecodedProgram& prog = cm.decoded ? *cm.decoded : *checked;
   // A fault that fires during a run was armed at its start: such a run
   // stages everything, so thresholds count the same traffic as a cold run,
   // and leaves no claim, so a corrupted word never outlives its epoch.
@@ -120,8 +122,7 @@ RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
 
   DramModel* const dram = functional ? dram_.get() : nullptr;
   RunReport report;
-  report.stats = cm.decoded ? accel_.Run(*cm.decoded, dram)
-                            : accel_.Run(cm.program, dram);
+  report.stats = accel_.Run(prog, dram);
   report.seconds = report.stats.Seconds(spec_.freq_mhz);
   const double ops = static_cast<double>(model.TotalOps());
   report.gops = ops / report.seconds / 1e9;

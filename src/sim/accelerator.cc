@@ -878,13 +878,6 @@ Accelerator::ExecResult Accelerator::ExecSave(const SaveFields& f,
   return res;
 }
 
-SimStats Accelerator::Run(const std::vector<Instruction>& program,
-                          DramModel* dram) {
-  // One-shot path: validate + decode fresh. Steady-state serving uses the
-  // DecodedProgram overload with the decode cached on the CompiledModel.
-  return Run(DecodeProgram(program), dram);
-}
-
 SimStats Accelerator::Run(const DecodedProgram& prog, DramModel* dram) {
   macs_executed_ = 0;
   // The accelerator is reusable across programs (serving runtimes hold one

@@ -70,7 +70,9 @@ class Accelerator {
   /// per-instance share (spec.bandwidth_per_instance_gbps(cfg.ni)).
   Accelerator(const AccelConfig& cfg, const FpgaSpec& spec);
 
-  /// Executes an END-terminated program; returns timing statistics.
+  /// Executes a decoded END-terminated program (DecodeProgram, or the
+  /// compiler's CompiledModel::decoded); returns timing statistics. Run
+  /// starts straight at the scheduler loop.
   ///
   /// With a `dram`, the run is functional: LOADs read it, COMP computes,
   /// and SAVEs write it, so the results persist in `dram`. A null `dram`
@@ -82,12 +84,6 @@ class Accelerator {
   /// on entry, so consecutive Runs are bit- and cycle-identical to runs on
   /// freshly constructed instances, while buffer storage and the COMP
   /// scratch arenas are reused (no steady-state allocations).
-  ///
-  /// The vector overload validates + decodes on every call; the
-  /// DecodedProgram overload skips straight to the scheduler loop, which is
-  /// what serving runtimes use (the decode is cached per CompiledModel).
-  /// Both are bit- and cycle-identical for the same program bytes.
-  SimStats Run(const std::vector<Instruction>& program, DramModel* dram);
   SimStats Run(const DecodedProgram& prog, DramModel* dram);
 
   const AccelConfig& config() const { return cfg_; }

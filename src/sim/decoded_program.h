@@ -1,12 +1,7 @@
-// Decode-once representation of an instruction stream for the simulator.
-//
-// Accelerator::Run used to re-decode the full 128-bit program and rebuild
-// the per-module issue queues on every invocation — pure overhead when the
-// same compiled program is executed for every item of a serving batch. A
-// DecodedProgram hoists that work out of the per-run path: it holds the
-// decoded fields and the per-module queue partitioning (both pure functions
-// of the program bytes), so Run(const DecodedProgram&) starts directly at
-// the scheduler loop. The compiler attaches one to every CompiledModel
+// Decode-once representation of an instruction stream for the simulator:
+// the decoded fields and the per-module issue queues, both pure functions of
+// the program bytes, so Accelerator::Run starts directly at the scheduler
+// loop. The compiler attaches one to every CompiledModel
 // (CompiledModel::decoded); anything that mutates `program` afterwards must
 // drop the cached decode, or the simulator would execute the stale stream.
 #ifndef HDNN_SIM_DECODED_PROGRAM_H_

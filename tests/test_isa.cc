@@ -177,6 +177,136 @@ TEST(CodecTest, CompStrideRangeEnforced) {
   EXPECT_THROW(Encode(InstrFields{f}), InvalidArgument);
 }
 
+/// One instruction per opcode, keep-resident variants included. Every payload
+/// field holds a distinct value with its top bit set, so a field that moves,
+/// shrinks or swaps with a neighbour changes the word.
+std::vector<InstrFields> GoldenInstructions() {
+  std::vector<InstrFields> out;
+  LoadFields load;
+  load.dept = 0x2d;
+  load.buff_id = 2;
+  load.buff_base = 0x2abc;
+  load.dram_base = 0x9a5c3e1;
+  load.rows = 0xa7;
+  load.cols = 0x2d3;
+  load.chan_vecs = 0xb59;
+  load.aux = 0xc6a;
+  load.pitch = 0x97b;
+  load.pad_t = 0x9;
+  load.pad_b = 0xa;
+  load.pad_l = 0xb;
+  load.pad_r = 0xd;
+  load.wino = true;
+  load.wino_offset = 5;
+  for (Opcode op : {Opcode::kLoadInp, Opcode::kLoadWgt, Opcode::kLoadBias}) {
+    load.op = op;
+    out.push_back(load);
+  }
+  load.op = Opcode::kLoadInp;
+  load.keep_resident = true;
+  out.push_back(load);
+
+  CompFields comp;
+  comp.dept = 0x3a;
+  comp.inp_buff_id = 1;
+  comp.wgt_buff_id = 1;
+  comp.out_buff_id = 1;
+  comp.inp_buff_base = 0x8d1;
+  comp.out_buff_base = 0x9e2;
+  comp.wgt_buff_base = 0xaf3;
+  comp.iw_num = 0x2c4;
+  comp.ow_num = 0x3b5;
+  comp.oh_num = 6;
+  comp.ic_vecs = 0xc17;
+  comp.oc_vecs = 0xd28;
+  comp.stride = 3;  // encoded as stride - 1 = 0b10
+  comp.relu = true;
+  comp.quan = 0x17;
+  comp.wino = true;
+  comp.wino_offset = 0xb;
+  comp.kh = 0xd;
+  comp.kw = 0xe;
+  comp.base_row = 0x9;
+  comp.base_col = 0xc;
+  comp.accum_clear = true;
+  comp.accum_emit = true;
+  out.push_back(comp);
+
+  SaveFields save;
+  save.dept = 0x25;
+  save.buff_id = 3;
+  save.buff_base = 0xa5b;
+  save.dram_base = 0xc3a59e17;
+  save.rows = 0x2b;
+  save.cols = 0xe4d;
+  save.oc_vecs = 0x8f6;
+  save.layout = SaveLayout::kWinoToSpat;
+  save.pool = 6;
+  save.out_h = 0x9c1;
+  save.out_w = 0xbd2;
+  save.oc_pitch = 0x1e37;
+  out.push_back(save);
+  save.keep_resident = true;
+  out.push_back(save);
+
+  SaveFields res;
+  res.res_add = true;
+  res.dept = 0x31;
+  res.buff_id = 2;
+  res.buff_base = 0xb;
+  res.dram_base = 0xd2c4b5a;
+  res.res_dram_base = 0xe1f3a69;
+  res.rows = 0x35;
+  res.cols = 0x1a7;
+  res.oc_vecs = 0x5c;
+  res.layout = SaveLayout::kWinoToWino;
+  res.res_wino = true;
+  res.relu = true;
+  res.out_h = 0x2e9;
+  res.out_w = 0x3a4;
+  res.oc_pitch = 0x25d;
+  out.push_back(res);
+  res.keep_resident = true;
+  out.push_back(res);
+
+  out.push_back(CtrlFields{Opcode::kNop, 0x21});
+  out.push_back(CtrlFields{Opcode::kEnd, 0x22});
+  return out;
+}
+
+// Pins every field's bit position: the round trips above would still pass
+// if encode and decode moved a field together.
+TEST(CodecTest, GoldenWordsPerOpcode) {
+  struct Golden {
+    Opcode op;
+    std::uint64_t hi, lo;
+  };
+  const Golden golden[] = {
+      {Opcode::kLoadInp, 0x1b6aaf26970f869eull, 0xd3b59c6a97b9abddull},
+      {Opcode::kLoadWgt, 0x2b6aaf26970f869eull, 0xd3b59c6a97b9abddull},
+      {Opcode::kLoadBias, 0x3b6aaf26970f869eull, 0xd3b59c6a97b9abddull},
+      {Opcode::kLoadInpKr, 0xab6aaf26970f869eull, 0xd3b59c6a97b9abddull},
+      {Opcode::kComp, 0x4eb8d19e2af3b13bull, 0x5d82fa516fbde9ceull},
+      {Opcode::kSave, 0x597a5bc3a59e17afull, 0x9363dad3837a5e37ull},
+      {Opcode::kSaveKr, 0x897a5bc3a59e17afull, 0x9363dad3837a5e37ull},
+      {Opcode::kSaveRes, 0x6c6bd2c4b5ae1f3aull, 0x69d74f73ee9e925dull},
+      {Opcode::kSaveResKr, 0x9c6bd2c4b5ae1f3aull, 0x69d74f73ee9e925dull},
+      {Opcode::kNop, 0x0840000000000000ull, 0x0000000000000000ull},
+      {Opcode::kEnd, 0x7880000000000000ull, 0x0000000000000000ull},
+  };
+  const std::vector<InstrFields> fields = GoldenInstructions();
+  ASSERT_EQ(fields.size(), std::size(golden));
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    SCOPED_TRACE(OpcodeName(golden[i].op));
+    EXPECT_EQ(OpcodeOf(fields[i]), golden[i].op);
+    const Instruction word = Encode(fields[i]);
+    EXPECT_EQ(word.hi, golden[i].hi);
+    EXPECT_EQ(word.lo, golden[i].lo);
+    EXPECT_EQ(PeekOpcode(word), golden[i].op);
+    EXPECT_EQ(Decode(Instruction{golden[i].lo, golden[i].hi}), fields[i]);
+  }
+}
+
 TEST(CodecTest, OpcodeNames) {
   EXPECT_STREQ(OpcodeName(Opcode::kLoadInp), "LOAD_INP");
   EXPECT_STREQ(OpcodeName(Opcode::kComp), "COMP");

@@ -319,17 +319,17 @@ TEST(CodegenFieldTest, OversizedGeometryIsATypedErrorNotATruncation) {
   // Each geometry overflows an instruction field's C++ type (a 16-bit fmap
   // width or height, an 8-bit stride). Wrapped, the value would fit the
   // codec's bit width and compile a program that computes something else.
+  // The stride fails at parse (kMaxStride), the extents in codegen.
   for (const char* text : {
            "model x\ninput 4 3 65540\nconv name=a out=4 k=3\n",
            "model x\ninput 4 65540 3\nconv name=a out=4 k=3\n",
            "model x\ninput 4 600 600\nconv name=a out=4 k=3 s=257 p=0\n",
        }) {
     SCOPED_TRACE(text);
-    const Model m = ParseModelText(text);
-    const DseResult r = DseEngine(PynqZ1Spec()).Explore(m);
-    const Compiler compiler(r.config, PynqZ1Spec());
     try {
-      compiler.Compile(m, r.mapping);
+      const Model m = ParseModelText(text);
+      const DseResult r = DseEngine(PynqZ1Spec()).Explore(m);
+      Compiler(r.config, PynqZ1Spec()).Compile(m, r.mapping);
       ADD_FAILURE() << "compiled a geometry its instruction fields cannot hold";
     } catch (const InternalError& e) {
       ADD_FAILURE() << "internal invariant instead of a typed error: "
