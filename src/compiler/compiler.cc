@@ -415,7 +415,10 @@ class Codegen {
     Put(w.chan_vecs, CeilDiv(block.c_count, cfg_.pi), "chan_vecs");
     Put(w.aux, CeilDiv(block.k_count, cfg_.po), "aux");
     w.wino = wino;
-    Put(w.wino_offset, std::min(block.slice, 7), "wino_offset");
+    Put(w.wino_offset,
+        std::min<std::int64_t>(block.slice,
+                               FieldMax<LoadFormat>("wino_offset")),
+        "wino_offset");
     Emit(cm, w);
 
     LoadFields b;

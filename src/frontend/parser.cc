@@ -11,13 +11,6 @@
 namespace hdnn {
 namespace {
 
-/// The values an FPGA spec property accepts.
-enum class SpecRange {
-  kCount,        ///< an integer in [1, 2^31 - 1]
-  kPositive,     ///< in (0, ceiling]
-  kNonNegative,  ///< finite and >= 0
-};
-
 /// Physical ceilings of the clock, the DRAM bandwidth and the MACs packed
 /// per DSP: 10 GHz, 100 TB/s and 64, far above any part (VU9P runs at 167
 /// MHz with 64 GB/s and one MAC per DSP). Past them the modeled run time
@@ -26,33 +19,16 @@ constexpr double kMaxFreqMhz = 1e4;
 constexpr double kMaxBandwidthGbps = 1e5;
 constexpr double kMaxDspPack = 64;
 
-/// Returns `value` when it lies in `range` (for kPositive, up to
-/// `ceiling`); otherwise throws a ParseError naming the line and the
-/// property. Every FPGA spec value passes through here before it is stored,
-/// so no narrowing cast sees an out-of-range value.
-double CheckSpecValue(double value, SpecRange range, const std::string& key,
-                      int line_no, double ceiling) {
-  bool ok = false;
-  std::ostringstream want;
-  switch (range) {
-    case SpecRange::kCount:
-      ok = value >= 1 && value <= std::numeric_limits<std::int32_t>::max() &&
-           value == std::floor(value);
-      want << "an integer in [1, 2147483647]";
-      break;
-    case SpecRange::kPositive:
-      ok = value > 0 && value <= ceiling;
-      want << "in (0, " << ceiling << "]";
-      break;
-    case SpecRange::kNonNegative:
-      ok = std::isfinite(value) && value >= 0;
-      want << "finite and >= 0";
-      break;
-  }
+/// Returns `value` when `ok`; otherwise throws a ParseError naming the line,
+/// the property and what it must be (`want`). Every FPGA spec value passes
+/// through here before it is stored, so no narrowing cast sees an
+/// out-of-range value.
+double CheckSpecValue(double value, bool ok, const std::string& want,
+                      const std::string& key, int line_no) {
   if (!ok) {
     std::ostringstream msg;
     msg << "line " << line_no << ": FPGA property '" << key << "' must be "
-        << want.str() << ", got " << value;
+        << want << ", got " << value;
     throw ParseError(msg.str());
   }
   return value;
@@ -266,28 +242,39 @@ FpgaSpec ParseFpgaSpecText(const std::string& text) {
       throw ParseError("line " + std::to_string(line_no) + ": FPGA property '" +
                        head + "' expects one number");
     }
-    const auto checked = [&](SpecRange range, double ceiling = 0) {
-      return CheckSpecValue(value, range, head, line_no, ceiling);
+    const auto check = [&](bool ok, const std::string& want) {
+      return CheckSpecValue(value, ok, want, head, line_no);
+    };
+    const auto count = [&] {
+      return check(value >= 1 &&
+                       value <= std::numeric_limits<std::int32_t>::max() &&
+                       value == std::floor(value),
+                   "an integer in [1, 2147483647]");
+    };
+    const auto up_to = [&](double ceiling) {
+      std::ostringstream want;
+      want << "in (0, " << ceiling << "]";
+      return check(value > 0 && value <= ceiling, want.str());
     };
     if (head == "luts") {
-      spec.luts = static_cast<long long>(checked(SpecRange::kCount));
+      spec.luts = static_cast<long long>(count());
     } else if (head == "dsps") {
-      spec.dsps = static_cast<long long>(checked(SpecRange::kCount));
+      spec.dsps = static_cast<long long>(count());
     } else if (head == "bram18") {
-      spec.bram18 = static_cast<long long>(checked(SpecRange::kCount));
+      spec.bram18 = static_cast<long long>(count());
     } else if (head == "dies") {
-      spec.dies = static_cast<int>(checked(SpecRange::kCount));
+      spec.dies = static_cast<int>(count());
     } else if (head == "bandwidth_gbps") {
-      spec.dram_bandwidth_gbps =
-          checked(SpecRange::kPositive, kMaxBandwidthGbps);
+      spec.dram_bandwidth_gbps = up_to(kMaxBandwidthGbps);
     } else if (head == "freq_mhz") {
-      spec.freq_mhz = checked(SpecRange::kPositive, kMaxFreqMhz);
+      spec.freq_mhz = up_to(kMaxFreqMhz);
     } else if (head == "dsp_pack") {
-      spec.dsp_pack = checked(SpecRange::kPositive, kMaxDspPack);
+      spec.dsp_pack = up_to(kMaxDspPack);
     } else if (head == "static_watts") {
-      spec.static_watts = checked(SpecRange::kNonNegative);
+      spec.static_watts =
+          check(std::isfinite(value) && value >= 0, "finite and >= 0");
     } else if (head == "max_utilization") {
-      spec.max_utilization = checked(SpecRange::kPositive, 1);
+      spec.max_utilization = up_to(1);
     } else {
       throw ParseError("line " + std::to_string(line_no) +
                        ": unknown FPGA property '" + head + "'");

@@ -3,23 +3,18 @@
 # that a program runs (a bench, an example or the perfbench binary), plus
 # the keep-list below, each entry with its reason.
 #
-# Compiles src/ at -O0 with one section per function into a static archive,
-# links every program against it with --gc-sections, and lists the
-# archive's defined hdnn:: functions that no program keeps. -O0 avoids the
-# false positives of inlining (a function every caller inlined looks
-# unreached at -O2). Exits 1 when a listed function is not on the keep-list.
+# Compiles src/ at -O0 with one section per function into a static archive
+# under build-lc/ (git-ignored), links every program against it with
+# --gc-sections, and lists the archive's defined hdnn:: functions that no
+# program keeps. -O0 avoids the false positives of inlining (a function
+# every caller inlined looks unreached at -O2). Exits 1 when a listed
+# function is not on the keep-list. Run from anywhere:
 #
-#   tools/check_reachability.sh [build-dir]    # default: build-lc
-#
-# Run from anywhere; the build directory is relative to the repository root
-# and git-ignored when it matches build-*. JOBS sets the compile
-# parallelism (default: nproc).
+#   tools/check_reachability.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-out=${1:-build-lc}
-jobs=${JOBS:-$(nproc)}
-cxx=${CXX:-g++}
+out=build-lc
 
 # Qualified name (parameters and ABI tags dropped) or class prefix ending in
 # "::", then the reason the library keeps it although no program calls it.
@@ -48,6 +43,7 @@ hdnn::DramModel::ClearFaults          fault-detection safety code
 hdnn::Tensor<double>::                template instance the float references use
 hdnn::Tensor<float>::                 template instance the float references use
 hdnn::KernelSlice<float>::            template instance the float references use
+hdnn::DecomposeKernel<float>          template instance the float references use
 EOF
 )
 
@@ -56,15 +52,15 @@ rm -f "$out"/obj/*.o "$out"/bin/*
 
 # One object per source (src/a/b.cc -> obj/src_a_b.cc.o), one binary per
 # bench and example, then the perfbench binary.
-printf '%s\n' src/*/*.cc | xargs -P "$jobs" -I{} sh -c \
-  '"$0" -std=c++20 -O0 -ffunction-sections -fdata-sections -Isrc -c "$1" \
-     -o "$2/obj/$(echo "$1" | tr / _).o"' "$cxx" {} "$out"
+printf '%s\n' src/*/*.cc | xargs -P "$(nproc)" -I{} sh -c \
+  'g++ -std=c++20 -O0 -ffunction-sections -fdata-sections -Isrc -c "$0" \
+     -o "$1/obj/$(echo "$0" | tr / _).o"' {} "$out"
 ar rcs "$out/libhdnn.a" "$out"/obj/*.o
-printf '%s\n' bench/*.cc examples/*.cc | xargs -P "$jobs" -I{} sh -c \
-  '"$0" -std=c++20 -O0 -Isrc -I. "$1" "$2/libhdnn.a" -Wl,--gc-sections \
-     -o "$2/bin/$(basename "$1" .cc)"' "$cxx" {} "$out"
+printf '%s\n' bench/*.cc examples/*.cc | xargs -P "$(nproc)" -I{} sh -c \
+  'g++ -std=c++20 -O0 -Isrc -I. "$0" "$1/libhdnn.a" -Wl,--gc-sections \
+     -o "$1/bin/$(basename "$0" .cc)"' {} "$out"
 (cd perfbench &&
-  "$cxx" -std=c++20 -O0 -I../src -I. main.cc workloads.cc vgg16_pynq.cc \
+  g++ -std=c++20 -O0 -I../src -I. main.cc workloads.cc vgg16_pynq.cc \
     resnet18_vu9p_serve.cc design_sweep.cc fleet_chaos.cc harness.cc \
     "../$out/libhdnn.a" -Wl,--gc-sections -o "../$out/bin/perfbench")
 
@@ -72,18 +68,19 @@ nm --defined-only "$out/libhdnn.a" | awk '$2 ~ /^[TW]$/ {print $3}' |
   LC_ALL=C sort -u > "$out/lib.syms"
 for b in "$out"/bin/*; do nm --defined-only "$b" | awk '{print $3}'; done |
   LC_ALL=C sort -u > "$out/bin.syms"
-LC_ALL=C comm -23 "$out/lib.syms" "$out/bin.syms" | c++filt |
+# c++filt -p prints a function's qualified name alone, without its return
+# type or parameters: an hdnn:: function template instance keeps its hdnn::
+# prefix whatever it returns, and the libstdc++ internals instantiated on
+# hdnn types (std::__relocate_a, ...), which vary with the compiler
+# version, keep their std:: one. Each line: name, tab, full signature.
+LC_ALL=C comm -23 "$out/lib.syms" "$out/bin.syms" > "$out/unreached.syms"
+paste <(c++filt -p < "$out/unreached.syms") \
+      <(c++filt < "$out/unreached.syms") |
   grep '^hdnn::' > "$out/unreached.txt" || true
 
-# Drop libstdc++ internals instantiated on hdnn types: their demangled name
-# starts with an hdnn return type ("hdnn::DramFault* std::__relocate_a<..."),
-# and which of them a build emits varies with the compiler version.
-grep -Ev '^[^(]*[^,<] (std|__gnu_cxx)::' "$out/unreached.txt" \
-  > "$out/unreached_hdnn.txt" || true
-
 status=0
-while IFS= read -r symbol; do
-  name=${symbol%%(*}
+while IFS=$'\t' read -r name symbol; do
+  name=${name%%(*}
   name=${name//\[abi:cxx11\]/}
   kept=
   while read -r entry _; do
@@ -97,11 +94,10 @@ while IFS= read -r symbol; do
     echo "unreached and not on the keep-list: $symbol"
     status=1
   fi
-done < "$out/unreached_hdnn.txt"
+done < "$out/unreached.txt"
 
-echo "$(wc -l < "$out/unreached_hdnn.txt") hdnn:: functions no program reaches" \
-  "($(wc -l < "$out/unreached.txt") with libstdc++ instances);" \
-  "list: $out/unreached_hdnn.txt"
+echo "$(wc -l < "$out/unreached.txt") hdnn:: functions no program reaches;" \
+  "list: $out/unreached.txt"
 if [[ $status -ne 0 ]]; then
   echo "Give each a program that calls it, delete it, or add it to the" \
     "keep-list in $0 with its reason."
