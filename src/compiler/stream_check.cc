@@ -1,20 +1,24 @@
 #include "compiler/stream_check.h"
 
+#include <array>
 #include <sstream>
 
 #include "common/check.h"
 #include "sim/decoded_program.h"
+#include "sim/handshake.h"
 
 namespace hdnn {
 namespace {
-
-constexpr int kPingPongDepth = 2;
 
 class Checker {
  public:
   explicit Checker(const CompiledModel& cm)
       : cm_(cm),
-        resident_slot_(static_cast<std::size_t>(cm.fmap_slots), false) {}
+        resident_slot_(static_cast<std::size_t>(cm.fmap_slots), false) {
+    for (std::size_t c = 0; c < count_.size(); ++c) {
+      count_[c] = kChannels[c].initial();
+    }
+  }
 
   /// Checks `prog`, a decode of cm's program (DecodeProgram validated it).
   StreamCheckReport Run(const DecodedProgram& prog) {
@@ -22,6 +26,10 @@ class Checker {
       index_ = static_cast<int>(i);
       const InstrFields& f = prog.fields[i];
       ++report_.instructions;
+      const Opcode op = OpcodeOf(f);
+      if (op != Opcode::kNop && op != Opcode::kEnd) {
+        CountHandshakes(SimModuleOf(op), DeptOf(f));
+      }
       if (const auto* l = std::get_if<LoadFields>(&f)) {
         CheckLoad(*l);
       } else if (const auto* c = std::get_if<CompFields>(&f)) {
@@ -30,22 +38,12 @@ class Checker {
         CheckSave(*s);
       }
     }
-    // Terminal token balance: every data token consumed, credits restored.
-    if (tok_inp_ != 0) Violation("input data tokens leaked: " + std::to_string(tok_inp_));
-    if (tok_wgt_ != 0) Violation("weight data tokens leaked: " + std::to_string(tok_wgt_));
-    if (tok_out_ != 0) Violation("output data tokens leaked: " + std::to_string(tok_out_));
-    if (tok_layer_ != 1) {
-      Violation("layer-barrier tokens out of balance: " +
-                std::to_string(tok_layer_) + " (expected exactly 1 leftover)");
-    }
-    if (cred_inp_ != kPingPongDepth) {
-      Violation("input credits not restored: " + std::to_string(cred_inp_));
-    }
-    if (cred_wgt_ != kPingPongDepth) {
-      Violation("weight credits not restored: " + std::to_string(cred_wgt_));
-    }
-    if (cred_out_ != kPingPongDepth) {
-      Violation("output credits not restored: " + std::to_string(cred_out_));
+    for (std::size_t c = 0; c < count_.size(); ++c) {
+      if (count_[c] != kChannels[c].end) {
+        Violation(std::string(kChannels[c].name) + " ends at " +
+                  std::to_string(count_[c]) + ", expected " +
+                  std::to_string(kChannels[c].end));
+      }
     }
     return report_;
   }
@@ -57,19 +55,34 @@ class Checker {
     report_.violations.push_back(out.str());
   }
 
-  void TakeCredit(int& credits, const char* name) {
-    if (credits <= 0) {
-      Violation(std::string("credit underflow on ") + name);
-    } else {
-      --credits;
+  /// Whether `dept` makes an instruction on `mod` emit to `channel`.
+  static bool Emits(SimModule mod, std::uint8_t dept,
+                    HandshakeChannel channel) {
+    for (const Handshake& h : kHandshakes[mod].emits) {
+      if (h.channel == channel && (dept & h.bit)) return true;
     }
+    return false;
   }
 
-  void TakeToken(int& tokens, const char* name) {
-    if (tokens <= 0) {
-      Violation(std::string("token underflow on ") + name);
-    } else {
-      --tokens;
+  /// Applies the waits, then the emits, that `dept` selects in `mod`'s row
+  /// of the handshake table.
+  void CountHandshakes(SimModule mod, std::uint8_t dept) {
+    for (const Handshake& h : kHandshakes[mod].waits) {
+      if (!(dept & h.bit)) continue;
+      int& count = count_[static_cast<std::size_t>(h.channel)];
+      if (count <= 0) {
+        Violation(std::string("underflow on ") + kChannels[h.channel].name);
+      } else {
+        --count;
+      }
+    }
+    for (const Handshake& h : kHandshakes[mod].emits) {
+      if (!(dept & h.bit)) continue;
+      const int count = ++count_[static_cast<std::size_t>(h.channel)];
+      if (kChannels[h.channel].credit && count > kPingPongDepth) {
+        Violation(std::string(kChannels[h.channel].name) +
+                  " above the ping-pong depth");
+      }
     }
   }
 
@@ -89,9 +102,6 @@ class Checker {
     const AccelConfig& cfg = cm_.cfg;
     if (f.op == Opcode::kLoadInp) {
       ++report_.loads_inp;
-      if (f.dept & kWaitCredit) TakeCredit(cred_inp_, "cred_inp");
-      if (f.dept & kWaitData0) TakeToken(tok_layer_, "tok_layer");
-      if (f.dept & kEmitData) ++tok_inp_;
       const std::int64_t slab =
           static_cast<std::int64_t>(f.pad_t + f.rows + f.pad_b) *
           (f.pad_l + f.cols + f.pad_r) * f.chan_vecs;
@@ -127,8 +137,6 @@ class Checker {
       }
     } else if (f.op == Opcode::kLoadWgt) {
       ++report_.loads_wgt;
-      if (f.dept & kWaitCredit) TakeCredit(cred_wgt_, "cred_wgt");
-      if (f.dept & kEmitData) ++tok_wgt_;
       const std::int64_t vectors = static_cast<std::int64_t>(f.rows) * f.cols *
                                    f.chan_vecs * f.aux;
       if (f.buff_base + vectors > cfg.weight_buffer_vectors) {
@@ -139,7 +147,6 @@ class Checker {
       }
     } else {
       ++report_.loads_bias;
-      if (f.dept & kEmitData) ++tok_wgt_;
       if (f.dram_base + 2LL * f.aux * cfg.po > cm_.total_dram_words) {
         Violation("LOAD_BIAS reads past the DRAM map");
       }
@@ -148,15 +155,7 @@ class Checker {
 
   void CheckComp(const CompFields& f) {
     ++report_.comps;
-    if (f.dept & kWaitData0) TakeToken(tok_inp_, "tok_inp");
-    if (f.dept & kWaitData1) TakeToken(tok_wgt_, "tok_wgt");
-    if (f.dept & kWaitCredit) TakeCredit(cred_out_, "cred_out");
-    if (f.dept & kEmitCredit0) ++cred_inp_;
-    if (f.dept & kEmitCredit1) ++cred_wgt_;
-    if (f.dept & kEmitData) ++tok_out_;
-    if (cred_inp_ > kPingPongDepth) Violation("input credit overflow");
-    if (cred_wgt_ > kPingPongDepth) Violation("weight credit overflow");
-    if ((f.dept & kEmitData) && !f.accum_emit) {
+    if (Emits(kModComp, f.dept, kTokOut) && !f.accum_emit) {
       Violation("COMP emits an output token without accum_emit");
     }
     if (f.accum_emit) {
@@ -177,10 +176,6 @@ class Checker {
 
   void CheckSave(const SaveFields& f) {
     ++report_.saves;
-    if (f.dept & kWaitData0) TakeToken(tok_out_, "tok_out");
-    if (f.dept & kEmitData) ++tok_layer_;  // layer barrier (compiler.cc)
-    if (f.dept & kEmitCredit0) ++cred_out_;
-    if (cred_out_ > kPingPongDepth) Violation("output credit overflow");
     if (!pending_out_half_.empty()) {
       const int expected = pending_out_half_.front();
       pending_out_half_.erase(pending_out_half_.begin());
@@ -253,9 +248,8 @@ class Checker {
   const CompiledModel& cm_;
   StreamCheckReport report_;
   int index_ = 0;
-  int tok_inp_ = 0, tok_wgt_ = 0, tok_out_ = 0, tok_layer_ = 0;
-  int cred_inp_ = kPingPongDepth, cred_wgt_ = kPingPongDepth,
-      cred_out_ = kPingPongDepth;
+  /// Tokens each handshake channel holds, in program order.
+  std::array<int, kNumChannels> count_{};
   std::vector<int> pending_out_half_;
   /// Per-fmap-slot residency state in program order (fused hand-offs).
   std::vector<bool> resident_slot_;

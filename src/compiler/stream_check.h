@@ -1,8 +1,10 @@
 // Static validation of compiled instruction streams — the compiler's QA
 // pass. Catches the bug classes that would otherwise surface as simulator
 // deadlocks or silent data corruption:
-//   * handshake token imbalance on any of the four FIFO channels,
-//   * ping-pong credit underflow (more than `depth` outstanding buffers),
+//   * handshake misuse, counted in program order from the table the
+//     simulator schedules by (sim/handshake.h): a wait on an empty channel,
+//     a credit channel above the ping-pong depth, or a channel that does
+//     not end at its initial count (the layer barrier ends one over),
 //   * buffer-capacity violations per slab,
 //   * DRAM accesses outside the compiled memory map, and SAVEs into the
 //     weight/bias image below cm.fmap_base (which the Runtime keeps

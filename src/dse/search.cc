@@ -273,6 +273,10 @@ DseEngine::Evaluation DseEngine::EvaluateCandidates(
   inputs.reserve(static_cast<std::size_t>(num_layers));
   for (int i = 0; i < num_layers; ++i) inputs.push_back(model.InputOf(i));
 
+  // Candidates each layer stopped (the first layer a candidate cannot
+  // schedule), to name the culprit when no candidate is left.
+  std::vector<int> stopped(static_cast<std::size_t>(num_layers), 0);
+
   // Step 2 for one candidate.
   auto evaluate = [&](const AccelConfig& cfg) {
     CandidateScore score;
@@ -280,7 +284,10 @@ DseEngine::Evaluation DseEngine::EvaluateCandidates(
     for (int i = 0; i < num_layers; ++i) {
       const LayerChoice choice = BestLayerChoice(
           model.layer(i), inputs[static_cast<std::size_t>(i)], cfg, opts);
-      if (!choice.feasible) return CandidateScore{};  // unschedulable layer
+      if (!choice.feasible) {
+        ++stopped[static_cast<std::size_t>(i)];
+        return CandidateScore{};
+      }
       score.mapping.push_back(choice.mapping);
       score.cycles += choice.cycles;
     }
@@ -301,8 +308,15 @@ DseEngine::Evaluation DseEngine::EvaluateCandidates(
     ev.scored.push_back(Scored{&candidates_[i], &ev.scores[i],
                                ev.scores[i].cycles / candidates_[i].cfg.ni});
   }
-  HDNN_CHECK(!ev.scored.empty())
-      << "no candidate can schedule every layer of " << model.name();
+  if (ev.scored.empty()) {
+    const auto worst = std::max_element(stopped.begin(), stopped.end());
+    const int layer = static_cast<int>(worst - stopped.begin());
+    throw CapacityError("no candidate config for " + spec_.name +
+                        " can schedule every layer of " + model.name() +
+                        ": layer " + model.layer(layer).name + " stops " +
+                        std::to_string(*worst) + " of " +
+                        std::to_string(candidates_.size()));
+  }
   return ev;
 }
 

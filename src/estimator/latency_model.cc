@@ -17,15 +17,6 @@ namespace {
 /// decode and handshake round trips that cannot overlap with data).
 constexpr double kGroupOverheadCycles = 12.0;
 
-/// Fixed per-DRAM-transaction setup cost, cycles.
-constexpr double kBurstOverheadCycles = 24.0;
-
-double BwElementsPerCycle(const AccelConfig& cfg, const FpgaSpec& spec) {
-  const double bytes_per_cycle = spec.bandwidth_per_instance_gbps(cfg.ni) *
-                                 1e9 / (spec.freq_mhz * 1e6);
-  return bytes_per_cycle / 2.0;  // 16-bit words
-}
-
 }  // namespace
 
 bool WinogradApplicable(const ConvLayer& layer) {
@@ -176,7 +167,7 @@ LatencyBreakdown EstimateLayerLatency(const ConvLayer& layer,
       << layer.name << ": Winograd requires stride 1";
   const FmapShape out = layer.ConvOutput(in);
   const GroupCounts groups = ComputeGroups(layer, in, mode, cfg);
-  const double bw = BwElementsPerCycle(cfg, spec);
+  const double bw = spec.dram_words_per_cycle(cfg.ni);
   const double pe_width = static_cast<double>(cfg.pi) * cfg.po * cfg.pt;
   const double m = cfg.wino_m();
 

@@ -57,17 +57,17 @@ inline bool IsLoadInpOpcode(Opcode op) {
 
 const char* OpcodeName(Opcode op);
 
-/// DEPT_FLAG bit meanings. The producer/consumer pairs are fixed by the
-/// architecture ("LOAD_INP and COMP", "LOAD_WGT and COMP", "COMP and SAVE");
-/// each bit says whether this instruction interacts with the corresponding
-/// token FIFO (paper Sec. 4.1).
+/// DEPT_FLAG bits (paper Sec. 4.1): each says that an instruction waits on,
+/// or emits to, one handshake channel. Which channel depends on the module
+/// the instruction runs on; that table is sim/handshake.h, and both the
+/// simulator and the stream checker read it there.
 enum DeptFlagBits : std::uint8_t {
-  kWaitData0 = 1 << 0,   ///< COMP: pop input-data token; SAVE: pop COMP token
-  kWaitData1 = 1 << 1,   ///< COMP: pop weight-data token
-  kWaitCredit = 1 << 2,  ///< LOADs: wait buffer credit; COMP: wait output credit
-  kEmitData = 1 << 3,    ///< LOADs: push data token; COMP: push token to SAVE
-  kEmitCredit0 = 1 << 4, ///< COMP: release input half; SAVE: release output half
-  kEmitCredit1 = 1 << 5, ///< COMP: release weight half
+  kWaitData0 = 1 << 0,
+  kWaitData1 = 1 << 1,
+  kWaitCredit = 1 << 2,
+  kEmitData = 1 << 3,
+  kEmitCredit0 = 1 << 4,
+  kEmitCredit1 = 1 << 5,
 };
 
 /// Payload of LOAD_INP / LOAD_WGT / LOAD_BIAS.

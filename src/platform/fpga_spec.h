@@ -44,7 +44,17 @@ struct FpgaSpec {
   double bandwidth_per_instance_gbps(int ni) const {
     return dram_bandwidth_gbps / (ni > 0 ? ni : 1);
   }
+
+  /// 16-bit DRAM words one of `ni` instances moves per accelerator cycle:
+  /// the estimator's and the simulator's one transfer rate.
+  double dram_words_per_cycle(int ni) const {
+    return bandwidth_per_instance_gbps(ni) * 1e9 / (freq_mhz * 1e6) / 2.0;
+  }
 };
+
+/// Setup cycles of one DRAM transaction, charged by the estimator per
+/// burst it counts and by the simulator per LOAD/SAVE transaction.
+inline constexpr double kBurstOverheadCycles = 24.0;
 
 /// Returns the built-in platform database.
 const std::vector<FpgaSpec>& PlatformDatabase();

@@ -3,23 +3,24 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
 
 #include "common/check.h"
 #include "common/fixed_point.h"
 #include "common/math_util.h"
 #include "sim/decoded_program.h"
+#include "sim/handshake.h"
 #include "winograd/matrices.h"
 #include "winograd/transform.h"
 
 namespace hdnn {
 namespace {
 
-// Timing constants shared in spirit with the analytical model; the simulator
-// applies them at instruction granularity.
-constexpr double kBurstOverheadCycles = 24.0;  // per DRAM transaction
-constexpr double kCompFixedCycles = 20.0;      // PE pipeline fill per COMP
-constexpr double kCtrlStartCycles = 4.0;       // 4-stage CTRL pipeline fill
-constexpr double kCtrlIssueII = 1.0;           // CTRL issue rate
+// Timing constants of the simulator alone; the DRAM transfer rate and burst
+// setup are shared with the estimator (platform/fpga_spec.h).
+constexpr double kCompFixedCycles = 20.0;  // PE pipeline fill per COMP
+constexpr double kCtrlStartCycles = 4.0;   // 4-stage CTRL pipeline fill
+constexpr double kCtrlIssueII = 1.0;       // CTRL issue rate
 
 // --- LOAD/SAVE copy micro-kernels ----------------------------------------
 //
@@ -123,12 +124,8 @@ SpatialFn SelectSpatial(int pi, int po) {
 }  // namespace
 
 Accelerator::Accelerator(const AccelConfig& cfg, const FpgaSpec& spec)
-    : cfg_(cfg), spec_(spec) {
+    : cfg_(cfg), bw_elems_per_cycle_(spec.dram_words_per_cycle(cfg.ni)) {
   cfg_.Validate();
-  const double bytes_per_cycle =
-      spec_.bandwidth_per_instance_gbps(cfg_.ni) * 1e9 /
-      (spec_.freq_mhz * 1e6);
-  bw_elems_per_cycle_ = bytes_per_cycle / 2.0;
   input_buf_.assign(
       static_cast<std::size_t>(2 * cfg_.input_buffer_vectors * cfg_.pi), 0);
   weight_buf_.assign(static_cast<std::size_t>(2 * cfg_.weight_buffer_vectors *
@@ -911,15 +908,15 @@ SimStats Accelerator::Run(const DecodedProgram& prog, DramModel* dram) {
     return kCtrlStartCycles + kCtrlIssueII * static_cast<double>(i);
   };
 
-  // Handshake FIFOs (ping-pong depth 2 credits) + the SAVE -> LOAD_INP
-  // layer-barrier channel (see compiler.cc EmitLayer).
-  TokenFifo tok_inp("tok_inp", 0), cred_inp("cred_inp", 2);
-  TokenFifo tok_wgt("tok_wgt", 0), cred_wgt("cred_wgt", 2);
-  TokenFifo tok_out("tok_out", 0), cred_out("cred_out", 2);
-  TokenFifo tok_layer("tok_layer", 0);
+  // One FIFO of availability times per handshake channel, seeded with its
+  // initial credits (sim/handshake.h).
+  std::array<std::deque<double>, kNumChannels> fifo;
+  for (std::size_t c = 0; c < fifo.size(); ++c) {
+    fifo[c].assign(static_cast<std::size_t>(kChannels[c].initial()), 0.0);
+  }
 
-  std::array<std::size_t, 4> next{0, 0, 0, 0};
-  std::array<double, 4> module_time{0, 0, 0, 0};
+  std::array<std::size_t, kNumModules> next{};
+  std::array<double, kNumModules> module_time{};
   // Two independent memory ports per instance (fmap traffic and weight
   // traffic map to different DDR channels on multi-channel boards, which is
   // what makes the paper's Eq. 12-15 max() semantics physical).
@@ -929,125 +926,54 @@ SimStats Accelerator::Run(const DecodedProgram& prog, DramModel* dram) {
   SimStats stats;
   stats.completion.assign(prog.size(), 0.0);
   stats.instructions = static_cast<std::int64_t>(prog.size());
-  words_moved_read_ = 0;
-  words_moved_written_ = 0;
 
   // Earliest-start-first global scheduling: among the four module heads
-  // whose tokens are all available, execute the one with the smallest
+  // whose waits are all satisfied, execute the one with the smallest
   // possible start time. This models FCFS arbitration of the shared DRAM
   // port (a request issued earlier wins the port) and is deterministic.
-  auto dept_of = [](const InstrFields& f) {
-    return std::visit([](const auto& x) -> std::uint8_t { return x.dept; }, f);
-  };
-
-  // Returns true and the tentative start time if the module-head
-  // instruction's tokens are available.
+  //
+  // Returns true and the start time if the module-head instruction's
+  // waited-on channels all hold a token.
   auto peek_start = [&](int mod, double* start_out) {
-    if (next[static_cast<std::size_t>(mod)] >=
-        queues[static_cast<std::size_t>(mod)].size()) {
-      return false;
-    }
-    const std::size_t i =
-        queues[static_cast<std::size_t>(mod)][next[static_cast<std::size_t>(mod)]];
-    const InstrFields& f = decoded[i];
-    const Opcode op = OpcodeOf(f);
-    const std::uint8_t dept = dept_of(f);
-    double start =
-        std::max(module_time[static_cast<std::size_t>(mod)], dispatch(i));
-    switch (op) {
-      case Opcode::kLoadInp:
-      case Opcode::kLoadInpKr:
-        if (dept & kWaitCredit) {
-          if (cred_inp.Empty()) return false;
-          start = std::max(start, cred_inp.FrontTime());
-        }
-        if (dept & kWaitData0) {
-          if (tok_layer.Empty()) return false;
-          start = std::max(start, tok_layer.FrontTime());
-        }
-        break;
-      case Opcode::kLoadWgt:
-      case Opcode::kLoadBias:
-        if (dept & kWaitCredit) {
-          if (cred_wgt.Empty()) return false;
-          start = std::max(start, cred_wgt.FrontTime());
-        }
-        break;
-      case Opcode::kComp:
-        if (dept & kWaitData0) {
-          if (tok_inp.Empty()) return false;
-          start = std::max(start, tok_inp.FrontTime());
-        }
-        if (dept & kWaitData1) {
-          if (tok_wgt.Empty()) return false;
-          start = std::max(start, tok_wgt.FrontTime());
-        }
-        if (dept & kWaitCredit) {
-          if (cred_out.Empty()) return false;
-          start = std::max(start, cred_out.FrontTime());
-        }
-        break;
-      case Opcode::kSave:
-      case Opcode::kSaveRes:
-      case Opcode::kSaveKr:
-      case Opcode::kSaveResKr:
-        if (dept & kWaitData0) {
-          if (tok_out.Empty()) return false;
-          start = std::max(start, tok_out.FrontTime());
-        }
-        break;
-      default:
-        break;
+    const std::size_t m = static_cast<std::size_t>(mod);
+    if (next[m] >= queues[m].size()) return false;
+    const std::size_t i = queues[m][next[m]];
+    const std::uint8_t dept = DeptOf(decoded[i]);
+    double start = std::max(module_time[m], dispatch(i));
+    for (const Handshake& h : kHandshakes[m].waits) {
+      if (!(dept & h.bit)) continue;
+      const std::deque<double>& q = fifo[static_cast<std::size_t>(h.channel)];
+      if (q.empty()) return false;
+      start = std::max(start, q.front());
     }
     *start_out = start;
     return true;
   };
 
   while (true) {
-    int best_mod = -1;
-    double best_start = 0;
-    for (int mod = 0; mod < 4; ++mod) {
-      double start = 0;
-      if (!peek_start(mod, &start)) continue;
-      if (best_mod < 0 || start < best_start) {
-        best_mod = mod;
-        best_start = start;
+    int mod = -1;
+    double start = 0;
+    for (int head = 0; head < kNumModules; ++head) {
+      double t = 0;
+      if (!peek_start(head, &t)) continue;
+      if (mod < 0 || t < start) {
+        mod = head;
+        start = t;
       }
     }
-    if (best_mod < 0) break;
+    if (mod < 0) break;
 
-    const int mod = best_mod;
-    const std::size_t i =
-        queues[static_cast<std::size_t>(mod)][next[static_cast<std::size_t>(mod)]];
+    const std::size_t m = static_cast<std::size_t>(mod);
+    const std::size_t i = queues[m][next[m]];
     const InstrFields& f = decoded[i];
     const Opcode op = OpcodeOf(f);
-    const std::uint8_t dept = dept_of(f);
-
-    double start =
-        std::max(module_time[static_cast<std::size_t>(mod)], dispatch(i));
-    switch (op) {
-      case Opcode::kLoadInp:
-      case Opcode::kLoadInpKr:
-        if (dept & kWaitCredit) start = cred_inp.PopAfter(start);
-        if (dept & kWaitData0) start = tok_layer.PopAfter(start);
-        break;
-      case Opcode::kLoadWgt:
-      case Opcode::kLoadBias:
-        if (dept & kWaitCredit) start = cred_wgt.PopAfter(start);
-        break;
-      case Opcode::kComp:
-        if (dept & kWaitData0) start = tok_inp.PopAfter(start);
-        if (dept & kWaitData1) start = tok_wgt.PopAfter(start);
-        if (dept & kWaitCredit) start = cred_out.PopAfter(start);
-        break;
-      case Opcode::kSave:
-      case Opcode::kSaveRes:
-      case Opcode::kSaveKr:
-      case Opcode::kSaveResKr:
-        if (dept & kWaitData0) start = tok_out.PopAfter(start);
-        break;
-      default:
-        break;
+    const std::uint8_t dept = DeptOf(f);
+    for (const Handshake& h : kHandshakes[m].waits) {
+      if (!(dept & h.bit)) continue;
+      std::deque<double>& q = fifo[static_cast<std::size_t>(h.channel)];
+      HDNN_INTERNAL(!q.empty())
+          << "pop from empty handshake channel " << kChannels[h.channel].name;
+      q.pop_front();
     }
 
     // Execute functionally and compute duration.
@@ -1078,24 +1004,22 @@ SimStats Accelerator::Run(const DecodedProgram& prog, DramModel* dram) {
 
     double end;
     if (res.uses_port) {
-      double& port_free =
-          (op == Opcode::kLoadWgt || op == Opcode::kLoadBias) ? wgt_port_free
-                                                              : fmap_port_free;
+      double& port_free = mod == kModLdw ? wgt_port_free : fmap_port_free;
       const double port_start = std::max(start, port_free);
       const double done_port = port_start + res.port_cycles;
       end = port_start + std::max(res.busy_cycles, res.port_cycles);
       port_free = done_port;
       stats.port_busy += res.port_cycles;
-      if (IsSaveOpcode(op)) {
-        words_moved_written_ += res.dram_words;
-        words_moved_read_ += res.res_read_words;
+      if (mod == kModSave) {
+        stats.dram_words_written += res.dram_words;
+        stats.dram_words_read += res.res_read_words;
       } else {
-        words_moved_read_ += res.dram_words;
+        stats.dram_words_read += res.dram_words;
       }
     } else {
       end = start + res.busy_cycles;
     }
-    module_time[static_cast<std::size_t>(mod)] = end;
+    module_time[m] = end;
     stats.completion[i] = end;
 
     switch (mod) {
@@ -1113,47 +1037,23 @@ SimStats Accelerator::Run(const DecodedProgram& prog, DramModel* dram) {
         break;
     }
 
-    switch (op) {
-      case Opcode::kLoadInp:
-      case Opcode::kLoadInpKr:
-        if (dept & kEmitData) tok_inp.Push(end);
-        break;
-      case Opcode::kLoadWgt:
-      case Opcode::kLoadBias:
-        if (dept & kEmitData) tok_wgt.Push(end);
-        break;
-      case Opcode::kComp:
-        if (dept & kEmitCredit0) cred_inp.Push(end);
-        if (dept & kEmitCredit1) cred_wgt.Push(end);
-        if (dept & kEmitData) tok_out.Push(end);
-        break;
-      case Opcode::kSave:
-      case Opcode::kSaveRes:
-      case Opcode::kSaveKr:
-      case Opcode::kSaveResKr:
-        if (dept & kEmitCredit0) cred_out.Push(end);
-        if (dept & kEmitData) tok_layer.Push(end);
-        break;
-      default:
-        break;
+    for (const Handshake& h : kHandshakes[m].emits) {
+      if (dept & h.bit) fifo[static_cast<std::size_t>(h.channel)].push_back(end);
     }
-    ++next[static_cast<std::size_t>(mod)];
+    ++next[m];
   }
 
-  for (int mod = 0; mod < 4; ++mod) {
-    if (next[static_cast<std::size_t>(mod)] <
-        queues[static_cast<std::size_t>(mod)].size()) {
-      throw InternalError(
-          "handshake deadlock: module " + std::to_string(mod) +
-          " stalled at queue position " +
-          std::to_string(next[static_cast<std::size_t>(mod)]));
+  for (int mod = 0; mod < kNumModules; ++mod) {
+    const std::size_t m = static_cast<std::size_t>(mod);
+    if (next[m] < queues[m].size()) {
+      throw InternalError("handshake deadlock: module " + std::to_string(mod) +
+                          " stalled at queue position " +
+                          std::to_string(next[m]));
     }
   }
 
   stats.total_cycles =
       *std::max_element(module_time.begin(), module_time.end());
-  stats.dram_words_read = words_moved_read_;
-  stats.dram_words_written = words_moved_written_;
   stats.macs_executed = macs_executed_;
   return stats;
 }

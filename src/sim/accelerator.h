@@ -44,7 +44,6 @@
 #include "mem/dram_model.h"
 #include "platform/fpga_spec.h"
 #include "sim/decoded_program.h"
-#include "sim/handshake.h"
 
 namespace hdnn {
 
@@ -86,11 +85,7 @@ class Accelerator {
   /// scratch arenas are reused (no steady-state allocations).
   SimStats Run(const DecodedProgram& prog, DramModel* dram);
 
-  const AccelConfig& config() const { return cfg_; }
-
  private:
-  struct ModuleState;
-
   // Module executors; each returns the instruction's busy cycles and the
   // DRAM words moved (0 for COMP). A null `dram` (false `functional`) is a
   // timing-only run: timing and words are computed, no data moves.
@@ -122,10 +117,7 @@ class Accelerator {
   void EnsureAccum(std::int64_t size, bool clear);
 
   AccelConfig cfg_;
-  FpgaSpec spec_;
   double bw_elems_per_cycle_;
-  std::int64_t words_moved_read_ = 0;
-  std::int64_t words_moved_written_ = 0;
 
   /// Line-buffer row reuse (see ExecLoadInp): geometry of the previous
   /// LOAD_INP, used to discount rows still resident in the row ring.

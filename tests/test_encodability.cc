@@ -141,5 +141,22 @@ TEST(EncodabilityTest, ExtentPastAFieldIsACapacityErrorNamingLayerAndField) {
   }
 }
 
+// Models whose one layer no candidate's buffers can hold: Explore names the
+// layer in a CapacityError, as BestMapping does.
+TEST(EncodabilityTest, LayerNoCandidateSchedulesIsACapacityErrorNamingIt) {
+  for (const FpgaSpec* spec : {&PynqZ1Spec(), &Vu9pSpec()}) {
+    const DseEngine engine(*spec);
+    for (const char* text :
+         {"model x\ninput 262144 4 4\nconv name=a out=8 k=3\n",
+          "model x\ninput 1048576 16 16\nconv name=a out=8 k=15 p=7\n"}) {
+      SCOPED_TRACE(spec->name + ": " + text);
+      const Outcome o = ParseExploreCompile(text, engine, *spec);
+      ASSERT_EQ(o.kind, Outcome::kCapacityError);
+      EXPECT_TRUE(Contains(o.what, "every layer of x: layer a stops"))
+          << o.what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hdnn

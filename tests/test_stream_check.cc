@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
+#include <variant>
 
 #include "compiler/stream_check.h"
 #include "dse/search.h"
 #include "nn/builders.h"
+#include "sim/accelerator.h"
 #include "testing_util.h"
 
 namespace hdnn {
@@ -148,6 +151,59 @@ TEST(StreamCheckTest, DetectsSaveIntoWeightImage) {
     EXPECT_TRUE(flagged) << "opcode " << static_cast<int>(PeekOpcode(*it));
     EXPECT_THROW(RequireValidStream(cm), InternalError);
   }
+}
+
+// The checker and the simulator read one handshake table, so a stream the
+// checker passes is one the simulator can run to the end.
+
+/// `cm`'s program with DEPT_FLAG `bit` of instruction `i` flipped.
+CompiledModel FlipDeptBit(CompiledModel cm, std::size_t i, std::uint8_t bit) {
+  InstrFields f = Decode(cm.program[i]);
+  std::visit([bit](auto& x) { x.dept ^= bit; }, f);
+  cm.program[i] = Encode(f);
+  return cm;
+}
+
+TEST(StreamCheckTest, LoadBiasCreditIsCountedAsTheSimulatorTakesIt) {
+  CompiledModel cm = CompileTiny(ConvMode::kSpatial,
+                                 Dataflow::kInputStationary);
+  int biases = 0;
+  for (std::size_t i = 0; i < cm.program.size(); ++i) {
+    if (PeekOpcode(cm.program[i]) != Opcode::kLoadBias) continue;
+    cm = FlipDeptBit(std::move(cm), i, kWaitCredit);
+    ++biases;
+  }
+  ASSERT_GT(biases, 0);
+  EXPECT_FALSE(CheckInstructionStream(cm).ok());
+  EXPECT_THROW(RequireValidStream(cm), InternalError);
+  Accelerator acc(cm.cfg, TestSpec());
+  EXPECT_THROW(acc.Run(DecodeProgram(cm.program), nullptr), InternalError);
+}
+
+TEST(StreamCheckTest, EverySingleDeptFlipTheCheckerPassesRuns) {
+  int flips = 0, clean = 0;
+  for (const ConvMode mode : {ConvMode::kSpatial, ConvMode::kWinograd}) {
+    for (const Dataflow flow :
+         {Dataflow::kInputStationary, Dataflow::kWeightStationary}) {
+      const CompiledModel cm = CompileTiny(mode, flow);
+      Accelerator acc(cm.cfg, TestSpec());
+      for (std::size_t i = 0; i + 1 < cm.program.size(); ++i) {  // not END
+        for (int b = 0; b < 6; ++b) {
+          const CompiledModel flipped =
+              FlipDeptBit(cm, i, static_cast<std::uint8_t>(1 << b));
+          ++flips;
+          if (!CheckInstructionStream(flipped).ok()) continue;
+          ++clean;
+          SCOPED_TRACE(std::string(ToString(mode)) + "/" + ToString(flow) +
+                       " instr " + std::to_string(i) + " bit " +
+                       std::to_string(b));
+          EXPECT_NO_THROW(acc.Run(DecodeProgram(flipped.program), nullptr));
+        }
+      }
+    }
+  }
+  EXPECT_GT(clean, 0);
+  EXPECT_LT(clean, flips);
 }
 
 TEST(StreamCheckTest, DetectsMissingEnd) {

@@ -48,7 +48,8 @@ EOF
 )
 
 mkdir -p "$out/obj" "$out/bin"
-rm -f "$out"/obj/*.o "$out"/bin/*
+# ar adds to an existing archive, so a deleted source's object would stay.
+rm -f "$out"/obj/*.o "$out"/bin/* "$out/libhdnn.a"
 
 # One object per source (src/a/b.cc -> obj/src_a_b.cc.o), one binary per
 # bench and example, then the perfbench binary.
