@@ -79,6 +79,10 @@ struct AccelConfig {
     HDNN_CHECK(pi >= 1 && po >= 1) << "PI/PO must be positive";
     HDNN_CHECK(pi >= po) << "DSE constraint PI >= PO violated: PI=" << pi
                          << " PO=" << po;
+    // Channels pad to a whole number of PI-lane input vectors, and each
+    // layer's output feeds the next as its input, so PO must divide PI.
+    HDNN_CHECK(pi % po == 0)
+        << "PO must divide PI: PI=" << pi << " PO=" << po;
     HDNN_CHECK(ni >= 1) << "NI must be positive";
     HDNN_CHECK(data_width >= 4 && data_width <= 16)
         << "data width out of supported range";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -17,8 +16,6 @@ namespace hdnn {
 namespace {
 
 constexpr int kBaseShift = 6;  // features are Q5.6
-
-int Lcm(int a, int b) { return a / std::gcd(a, b) * b; }
 
 /// Stores a codegen value into an instruction field. A bare narrowing cast
 /// would wrap a value the field's type cannot hold (a 65540-wide fmap into
@@ -137,7 +134,6 @@ class Codegen {
   }
 
   void PlanLayers(CompiledModel& cm) {
-    const int chan_quantum = Lcm(cfg_.pi, cfg_.po);
     for (int i = 0; i < model_.num_layers(); ++i) {
       const ConvLayer& layer = model_.layer(i);
       LayerPlan plan;
@@ -164,10 +160,12 @@ class Codegen {
             << ": channel blocking needs a single fmap group and a single "
                "kernel slice";
       }
+      // Channels pad to whole PI-lane vectors, which are whole PO-lane
+      // vectors too (AccelConfig::Validate: PO divides PI).
       plan.cp_in = static_cast<int>(
-          RoundUp<std::int64_t>(plan.in_shape.channels, chan_quantum));
+          RoundUp<std::int64_t>(plan.in_shape.channels, cfg_.pi));
       plan.cp_out = static_cast<int>(
-          RoundUp<std::int64_t>(layer.out_channels, chan_quantum));
+          RoundUp<std::int64_t>(layer.out_channels, cfg_.pi));
       if (quant_ != nullptr) PlanQuantization(plan, i);
       cm.plans.push_back(plan);
     }

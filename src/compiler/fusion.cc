@@ -1,17 +1,12 @@
 #include "compiler/fusion.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/math_util.h"
 
 namespace hdnn {
 namespace {
-
-int ChanQuantum(const AccelConfig& cfg) {
-  return cfg.pi / std::gcd(cfg.pi, cfg.po) * cfg.po;
-}
 
 /// The unique main consumer of layer `layer`'s output, or -1 when the count
 /// is not exactly one.
@@ -61,14 +56,14 @@ std::int64_t ResidencyBudgetWords(const AccelConfig& cfg) {
 
 std::int64_t TensorResidencyWords(const Model& model, int layer,
                                   const AccelConfig& cfg) {
-  const int quantum = ChanQuantum(cfg);
+  // Channels pad to whole PI-lane vectors, as the compiler pads them.
   const FmapShape out = model.OutputOf(layer);
   std::int64_t words =
-      RoundUp<std::int64_t>(out.channels, quantum) * out.height * out.width;
+      RoundUp<std::int64_t>(out.channels, cfg.pi) * out.height * out.width;
   for (int j = layer + 1; j < model.num_layers(); ++j) {
     if (model.input_index(j) != layer) continue;
     const FmapShape in = model.InputOf(j);  // canonicalised (FC flattening)
-    words = std::max(words, RoundUp<std::int64_t>(in.channels, quantum) *
+    words = std::max(words, RoundUp<std::int64_t>(in.channels, cfg.pi) *
                                 in.height * in.width);
   }
   return words;

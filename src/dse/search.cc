@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <limits>
+#include <sstream>
 
 #include "common/check.h"
 #include "compiler/fusion.h"
@@ -33,6 +35,51 @@ constexpr BufferRung kBufferLadder[] = {
 constexpr int kMaxNi = 8;
 constexpr int kMaxPi = 16;
 constexpr double kTieFraction = 0.05;
+
+/// Why a platform has no candidate: the smallest one (PI = PO = 1, PT 4,
+/// NI 1, the last buffer rung) against each limit AssignBuffers applies —
+/// the device totals for the analytical model, the utilisation cap (per die
+/// on multi-die parts) for the implementation model.
+CapacityError NoCandidateError(const FpgaSpec& spec) {
+  AccelConfig cfg;
+  cfg.pi = cfg.po = 1;
+  cfg.pt = 4;
+  cfg.ni = 1;
+  const BufferRung& rung = std::end(kBufferLadder)[-1];
+  cfg.input_buffer_vectors = rung.input;
+  cfg.weight_buffer_vectors = rung.weight;
+  cfg.output_buffer_vectors = rung.output;
+  const ResourceEstimate ana = AnalyticalResources(cfg, spec, DefaultProfile());
+  const ResourceEstimate impl =
+      ImplementationResources(cfg, spec, DefaultProfile());
+  const bool multi_die = spec.dies > 1;
+  const struct {
+    const char* name;
+    double ana, impl;
+    long long total, per_die;
+  } rows[] = {{"LUTs", ana.luts, impl.luts, spec.luts, spec.luts_per_die()},
+              {"DSPs", ana.dsps, impl.dsps, spec.dsps, spec.dsps_per_die()},
+              {"BRAM18", ana.bram18, impl.bram18, spec.bram18,
+               spec.bram18_per_die()}};
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(1)
+     << "no accelerator configuration fits platform " << spec.name
+     << ": the smallest, " << cfg.ToString() << " on the smallest buffers,"
+     << " exceeds";
+  const char* sep = " ";
+  for (const auto& r : rows) {
+    const double impl_limit =
+        spec.max_utilization *
+        static_cast<double>(multi_die ? r.per_die : r.total);
+    if (r.ana <= static_cast<double>(r.total) && r.impl <= impl_limit) {
+      continue;
+    }
+    os << sep << r.name << " (needs " << r.ana << " analytical / " << r.impl
+       << " implementation, limits " << r.total << " / " << impl_limit << ")";
+    sep = ", ";
+  }
+  return CapacityError(os.str());
+}
 
 }  // namespace
 
@@ -264,8 +311,7 @@ std::vector<LayerMapping> DseEngine::BestMapping(const Model& model,
 DseEngine::Evaluation DseEngine::EvaluateCandidates(
     const Model& model, const DseOptions& opts) const {
   opts.Validate();
-  HDNN_CHECK(!candidates_.empty())
-      << "no feasible accelerator configuration for platform " << spec_.name;
+  if (candidates_.empty()) throw NoCandidateError(spec_);
 
   // Layer inputs once, not per candidate (InputOf is O(i) per call).
   const int num_layers = model.num_layers();

@@ -45,80 +45,372 @@ inline void NarrowRun(const std::int32_t* src, std::int16_t* dst,
   }
 }
 
-// --- MAC micro-kernels, specialised on the GEMM-core geometry ------------
+// --- COMP kernels ---------------------------------------------------------
 //
-// PI/PO are template parameters so the innermost reductions fully unroll
-// for the common design points (both published configurations use
-// PI = PO = 4); <0, 0> is the generic runtime-trip-count fallback. The
-// dispatch happens once per COMP instruction, far outside the tile loops.
+// One kernel call covers a whole COMP: every Winograd tile, or every Spatial
+// output position. The PE's PI x PO broadcast MAC array is modelled lane by
+// lane: each (co, ci) pair of a GEMM core owns an int64 lane accumulator
+// that sums over the input-channel vectors (and taps) with stride-1 operand
+// streams the compiler vectorizes, and the PI lanes are summed once per
+// output element. The kernels are templated on the geometry (PT, PI, PO):
+// the DSE's design points get compile-time trip counts, and PI = PO = 0
+// reads them from the config, which serves any other valid AccelConfig.
+//
+// Every buffer element is a widened int16 DRAM word, so the input transform
+// stays within InputTransformGrowth(PT) * 2^15 and is exact in int32. The
+// operands are bounded by int16 only, not by data_width / wgt_width
+// (unclamped staged inputs, 16-bit weights, an armed DRAM fault), so their
+// sums need int64 accumulators.
 
-/// Winograd EWMM for one (kv, cvi) pair: ee GEMM-core steps, each a PI x PO
-/// outer-product MAC. Weights are (((e)*PO + co)*PI + ci) within w_cv; the
-/// transformed-input arena v_cv is (e*PI + ci) — both ci streams stride-1.
-template <int PI, int PO>
-void EwmmAccumulate(const std::int32_t* w_cv, const std::int32_t* v_cv,
-                    std::int64_t* acc_kv, std::int64_t ee, int pi_rt,
-                    int po_rt) {
+// Each kernel is compiled twice from the same source, for AVX2 and for the
+// baseline ISA, and the dynamic loader picks the copy the CPU runs (GNU
+// ifunc: x86-64 ELF under GCC or Clang). Elsewhere there is one copy.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__)
+#define HDNN_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define HDNN_KERNEL_CLONES
+#endif
+
+/// out = mat in mat^T for an R x PT integer matrix (Winograd's BT or AT) on
+/// L lanes at once: element (k, x) of the PT x PT input is the lane vector
+/// at in + k * in_row + x * in_col, and element (i, j) of the R x R result
+/// goes to out + i * out_row + j * out_col. Callers pass the constexpr
+/// matrices, so once inlined the zero entries fold away.
+template <typename T, int R, int PT, int L>
+inline void SandwichLanes(const std::array<int, R * PT>& mat, const T* in,
+                          std::int64_t in_row, std::int64_t in_col, T* out,
+                          std::int64_t out_row, std::int64_t out_col) {
+  T t[R][PT][L];  // mat in
+  for (int i = 0; i < R; ++i) {
+    for (int x = 0; x < PT; ++x) {
+      for (int l = 0; l < L; ++l) t[i][x][l] = 0;
+      for (int k = 0; k < PT; ++k) {
+        const T c = mat[static_cast<std::size_t>(i * PT + k)];
+        if (c == 0) continue;
+        const T* const e = in + k * in_row + x * in_col;
+        for (int l = 0; l < L; ++l) t[i][x][l] += c * e[l];
+      }
+    }
+  }
+  for (int i = 0; i < R; ++i) {
+    for (int j = 0; j < R; ++j) {
+      T* const e = out + i * out_row + j * out_col;
+      for (int l = 0; l < L; ++l) e[l] = 0;
+      for (int k = 0; k < PT; ++k) {
+        const T c = mat[static_cast<std::size_t>(j * PT + k)];
+        if (c == 0) continue;
+        for (int l = 0; l < L; ++l) e[l] += t[i][k][l] * c;
+      }
+    }
+  }
+}
+
+/// V = BT d B on L channel lanes at once: tile pixel (y, x) is the lane
+/// vector at d + y * row + x * col, and V's element e, lane l goes to
+/// v[e * ldv + l].
+template <int PT, int L>
+inline void TransformInputLanes(const std::int32_t* d, std::int64_t row,
+                                std::int64_t col, std::int32_t* v,
+                                std::int64_t ldv) {
+  if constexpr (PT == 4) {
+    SandwichLanes<std::int32_t, 4, 4, L>(kBT4, d, row, col, v, 4 * ldv, ldv);
+  } else {
+    SandwichLanes<std::int32_t, 6, 6, L>(kBT6, d, row, col, v, 6 * ldv, ldv);
+  }
+}
+
+/// Y = AT M A on L output-channel lanes at once: M's element e, lane l is
+/// m[e * ldm + l]; Y's (dy, dx) lane l goes to y[(dy * (PT - 2) + dx) * L + l].
+template <int PT, int L>
+inline void TransformOutputLanes(const std::int64_t* m, std::int64_t ldm,
+                                 std::int64_t* y) {
+  if constexpr (PT == 4) {
+    SandwichLanes<std::int64_t, 2, 4, L>(kAT4, m, 4 * ldm, ldm, y, 2 * L, L);
+  } else {
+    SandwichLanes<std::int64_t, 4, 6, L>(kAT6, m, 6 * ldm, ldm, y, 4 * L, L);
+  }
+}
+
+/// Requantize (common/fixed_point.h) and the fused ReLU, with the shift and
+/// width checks done once per COMP: round half away from zero by `shift`,
+/// saturate to the feature width, and clamp negatives to 0 under ReLU.
+class Requant {
+ public:
+  Requant(int shift, int bits, bool relu) : shift_(shift) {
+    HDNN_CHECK(shift >= 0 && shift < 63) << "shift=" << shift;
+    bias_ = shift > 0 ? std::uint64_t{1} << (shift - 1) : 0;
+    const SignedRange range = SignedRangeOf(bits);
+    min_ = relu ? 0 : range.min;
+    max_ = range.max;
+  }
+
+  std::int32_t operator()(std::int64_t v) const {
+    // On the magnitude in unsigned arithmetic, as RoundingShiftRight, but
+    // without a branch on the sign: `sign` is all ones for negative v.
+    const std::uint64_t sign = v < 0 ? ~std::uint64_t{0} : 0;
+    const std::uint64_t mag = (static_cast<std::uint64_t>(v) ^ sign) - sign;
+    const std::uint64_t q = (mag + bias_) >> shift_;
+    return static_cast<std::int32_t>(
+        std::clamp(static_cast<std::int64_t>((q ^ sign) - sign), min_, max_));
+  }
+
+ private:
+  int shift_;
+  std::uint64_t bias_;  // half an output step; 0 when shift_ is 0
+  std::int64_t min_, max_;
+};
+
+/// One COMP's operands, after its slab range checks.
+struct CompSlabs {
+  const std::int32_t* in;   ///< input buffer half
+  const std::int32_t* wgt;  ///< the COMP's first weight slot
+  std::int64_t* accum;      ///< PE accumulation buffer
+  std::int32_t* scratch;    ///< Winograd: [cvi][e][ci] transformed inputs;
+                            ///< Spatial: nonzero input-vector offsets
+  std::int64_t* lanes;      ///< int64 lane accumulators
+  int pi, po;               ///< the config's geometry
+};
+
+/// One emit's operands, after its output-slab range check.
+struct EmitSlabs {
+  const std::int64_t* accum;
+  const std::int32_t* bias;  ///< bias half
+  std::int32_t* out;         ///< output buffer half
+  int po;
+};
+
+/// Winograd COMP: per tile, the input transforms of every channel vector,
+/// then the EWMM of every (kv, cvi) pair into the [tile][kv][e][co]
+/// accumulators. The transformed inputs are laid out [cvi][e][ci], the
+/// weights [kv][cvi][e][co][ci].
+template <int PT, int PI, int PO>
+HDNN_KERNEL_CLONES void WinogradComp(const CompFields& f,
+                                     const CompSlabs& s) {
+  constexpr int kEE = PT * PT;
+  constexpr int kM = PT - WinoParam::kR + 1;
+  const int pi = PI > 0 ? PI : s.pi;
+  const int po = PO > 0 ? PO : s.po;
+  const int icv = f.ic_vecs, ocv = f.oc_vecs;
+  const std::int64_t px = static_cast<std::int64_t>(icv) * pi;
+  const std::int64_t row = f.iw_num * px;
+  const std::int64_t blk = static_cast<std::int64_t>(po) * pi;
+  std::int64_t* const lanes = s.lanes;  // [e][co][ci]
+  std::int64_t* acc = s.accum;
+  for (int ty = 0; ty < f.oh_num; ++ty) {
+    for (int tx = 0; tx < f.ow_num; ++tx) {
+      const std::int32_t* const d =
+          s.in + f.inp_buff_base * static_cast<std::int64_t>(pi) +
+          (f.base_row + static_cast<std::int64_t>(ty) * kM) * row +
+          (f.base_col + static_cast<std::int64_t>(tx) * kM) * px;
+      for (int cvi = 0; cvi < icv; ++cvi) {
+        std::int32_t* const v = s.scratch + cvi * kEE * pi;
+        if constexpr (PI > 0) {
+          TransformInputLanes<PT, PI>(d + cvi * PI, row, px, v, PI);
+        } else {
+          for (int ci = 0; ci < pi; ++ci) {
+            TransformInputLanes<PT, 1>(d + cvi * pi + ci, row, px, v + ci,
+                                       pi);
+          }
+        }
+      }
+      for (int kv = 0; kv < ocv; ++kv, acc += kEE * po) {
+        const std::int32_t* const w_kv = s.wgt + kv * icv * kEE * blk;
+        std::fill_n(lanes, kEE * blk, 0);
+        for (int cvi = 0; cvi < icv; ++cvi) {
+          const std::int32_t* const w = w_kv + cvi * kEE * blk;
+          const std::int32_t* const v = s.scratch + cvi * kEE * pi;
+          for (int e = 0; e < kEE; ++e) {
+            for (int co = 0; co < po; ++co) {
+              for (int ci = 0; ci < pi; ++ci) {
+                lanes[(e * po + co) * pi + ci] +=
+                    static_cast<std::int64_t>(w[(e * po + co) * pi + ci]) *
+                    v[e * pi + ci];
+              }
+            }
+          }
+        }
+        for (int j = 0; j < kEE * po; ++j) {
+          std::int64_t sum = 0;
+          for (int ci = 0; ci < pi; ++ci) sum += lanes[j * pi + ci];
+          acc[j] += sum;
+        }
+      }
+    }
+  }
+}
+
+/// Winograd emit: per (tile, kv), Y = AT M A on the PO lanes of the
+/// [e][co] accumulator, plus bias, requantised into the output slab.
+template <int PT, int PO>
+HDNN_KERNEL_CLONES void WinogradEmit(const CompFields& f, const EmitSlabs& s,
+                                     const Requant& rq) {
+  constexpr int kEE = PT * PT;
+  constexpr int kM = PT - WinoParam::kR + 1;
+  constexpr int kL = PO > 0 ? PO : 1;  // lanes per output transform
+  const int po = PO > 0 ? PO : s.po;
+  const int ocv = f.oc_vecs;
+  const std::int64_t slab_cols = static_cast<std::int64_t>(f.ow_num) * kM;
+  const std::int64_t* acc = s.accum;
+  for (int ty = 0; ty < f.oh_num; ++ty) {
+    for (int tx = 0; tx < f.ow_num; ++tx) {
+      for (int kv = 0; kv < ocv; ++kv, acc += kEE * po) {
+        std::int32_t* const out_kv =
+            s.out + (f.out_buff_base +
+                     (static_cast<std::int64_t>(ty) * kM * slab_cols +
+                      static_cast<std::int64_t>(tx) * kM) *
+                         ocv +
+                     kv) *
+                        po;
+        for (int c0 = 0; c0 < po; c0 += kL) {
+          std::int64_t y[kM * kM * kL];
+          TransformOutputLanes<PT, kL>(acc + c0, po, y);
+          const std::int32_t* const bias = s.bias + kv * po + c0;
+          for (int dy = 0; dy < kM; ++dy) {
+            for (int dx = 0; dx < kM; ++dx) {
+              std::int32_t* const o =
+                  out_kv + ((dy * slab_cols + dx) * ocv) * po + c0;
+              const std::int64_t* const ye = y + (dy * kM + dx) * kL;
+              for (int l = 0; l < kL; ++l) o[l] = rq(ye[l] + bias[l]);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Spatial MACs of T input vectors into every kv's lanes:
+/// lanes[kv][co][ci] += sum over t of w_t[kv][co][ci] * x_t[ci], with x_t at
+/// in + in_off[t] and w_t[kv] at wgt + w_off[t] + kv * wkv.
+template <int PI, int PO, int T>
+inline void SpatialMacs(const std::int32_t* in, const std::int32_t* wgt,
+                        const std::int32_t* in_off, const std::int32_t* w_off,
+                        std::int64_t* lanes, int ocv, std::int64_t wkv,
+                        int pi_rt, int po_rt) {
   const int pi = PI > 0 ? PI : pi_rt;
   const int po = PO > 0 ? PO : po_rt;
-  for (std::int64_t e = 0; e < ee; ++e) {
-    const std::int32_t* const w_e = w_cv + e * po * pi;
-    const std::int32_t* const v_e = v_cv + e * pi;
-    std::int64_t* const acc_e = acc_kv + e * po;
+  const std::int32_t* x[T];
+  const std::int32_t* w[T];
+  for (int t = 0; t < T; ++t) {
+    x[t] = in + in_off[t];
+    w[t] = wgt + w_off[t];
+  }
+  for (int kv = 0; kv < ocv; ++kv, lanes += po * pi) {
     for (int co = 0; co < po; ++co) {
-      const std::int32_t* const w_co = w_e + co * pi;
-      std::int64_t acc = 0;
       for (int ci = 0; ci < pi; ++ci) {
-        acc += static_cast<std::int64_t>(w_co[ci]) *
-               static_cast<std::int64_t>(v_e[ci]);
+        std::int64_t sum = 0;
+        for (int t = 0; t < T; ++t) {
+          sum += static_cast<std::int64_t>(w[t][kv * wkv + co * pi + ci]) *
+                 x[t][ci];
+        }
+        lanes[co * pi + ci] += sum;
       }
-      acc_e[co] += acc;
     }
   }
 }
 
-/// Spatial MAC for one (position, tap, cvi) triple: PI input lanes fanned
-/// out to ocv x PO accumulators, with the zero-skip of the broadcast tree.
+/// Spatial COMP: per output position, every (tap, cvi, kv) into the
+/// [pos][kv][co] accumulators, skipping input vectors whose PI lanes are
+/// all zero (the broadcast tree's zero-skip). The weights are
+/// [kv][cvi][tap][co][ci].
 template <int PI, int PO>
-void SpatialAccumulate(const std::int32_t* in_cv, const std::int32_t* w_cv,
-                       std::int64_t* acc_pos, int ocv,
-                       std::int64_t kv_stride, int pi_rt, int po_rt) {
-  const int pi = PI > 0 ? PI : pi_rt;
-  const int po = PO > 0 ? PO : po_rt;
-  for (int ci = 0; ci < pi; ++ci) {
-    const std::int64_t din = in_cv[ci];
-    if (din == 0) continue;
-    const std::int32_t* w_kv = w_cv + ci;
-    std::int64_t* acc = acc_pos;
-    for (int kv = 0; kv < ocv; ++kv) {
-      for (int lane = 0; lane < po; ++lane) {
-        acc[lane] +=
-            din * static_cast<std::int64_t>(
-                      w_kv[static_cast<std::int64_t>(lane) * pi]);
+HDNN_KERNEL_CLONES void SpatialComp(const CompFields& f, const CompSlabs& s) {
+  const int pi = PI > 0 ? PI : s.pi;
+  const int po = PO > 0 ? PO : s.po;
+  const int icv = f.ic_vecs, ocv = f.oc_vecs;
+  const int kk = f.kh * f.kw;
+  const std::int64_t px = static_cast<std::int64_t>(icv) * pi;
+  const std::int64_t row = f.iw_num * px;
+  const std::int64_t blk = static_cast<std::int64_t>(po) * pi;
+  const std::int64_t wkv = icv * kk * blk;
+  std::int64_t* const lanes = s.lanes;  // [kv][co][ci]
+  // Per nonzero input vector, its offset from the position's first pixel
+  // and its weight block's from the COMP's first slot; both fit int32, as
+  // the buffer halves are sized in int (Accelerator's constructor).
+  std::int32_t* const nz_in = s.scratch;
+  std::int32_t* const nz_w = s.scratch + static_cast<std::int64_t>(icv) * kk;
+  std::int64_t* acc = s.accum;
+  for (int ro = 0; ro < f.oh_num; ++ro) {
+    for (int co_pos = 0; co_pos < f.ow_num; ++co_pos) {
+      const std::int32_t* const in_pos =
+          s.in + f.inp_buff_base * static_cast<std::int64_t>(pi) +
+          (f.base_row + static_cast<std::int64_t>(ro) * f.stride) * row +
+          (f.base_col + static_cast<std::int64_t>(co_pos) * f.stride) * px;
+      int n = 0;
+      for (int cvi = 0; cvi < icv; ++cvi) {
+        for (int r = 0; r < f.kh; ++r) {
+          for (int c = 0; c < f.kw; ++c) {
+            const std::int64_t off = r * row + c * px + cvi * pi;
+            std::int32_t any = 0;
+            for (int ci = 0; ci < pi; ++ci) any |= in_pos[off + ci];
+            if (any == 0) continue;
+            nz_in[n] = static_cast<std::int32_t>(off);
+            nz_w[n] = static_cast<std::int32_t>((cvi * kk + r * f.kw + c) *
+                                                blk);
+            ++n;
+          }
+        }
       }
-      acc += po;
-      w_kv += kv_stride;
+      std::fill_n(lanes, ocv * blk, 0);
+      // Two input vectors per pass over the lanes, so each lane is loaded
+      // and stored once per two products.
+      int j = 0;
+      for (; j + 1 < n; j += 2) {
+        SpatialMacs<PI, PO, 2>(in_pos, s.wgt, nz_in + j, nz_w + j, lanes, ocv,
+                               wkv, pi, po);
+      }
+      if (j < n) {
+        SpatialMacs<PI, PO, 1>(in_pos, s.wgt, nz_in + j, nz_w + j, lanes, ocv,
+                               wkv, pi, po);
+      }
+      for (int k = 0; k < ocv * po; ++k) {
+        std::int64_t sum = 0;
+        for (int ci = 0; ci < pi; ++ci) sum += lanes[k * pi + ci];
+        acc[k] += sum;
+      }
+      acc += ocv * po;
     }
   }
 }
 
-using EwmmFn = void (*)(const std::int32_t*, const std::int32_t*,
-                        std::int64_t*, std::int64_t, int, int);
-using SpatialFn = void (*)(const std::int32_t*, const std::int32_t*,
-                           std::int64_t*, int, std::int64_t, int, int);
+}  // namespace
 
-EwmmFn SelectEwmm(int pi, int po) {
-  if (pi == 4 && po == 4) return &EwmmAccumulate<4, 4>;
-  if (pi == 8 && po == 4) return &EwmmAccumulate<8, 4>;
-  if (pi == 8 && po == 8) return &EwmmAccumulate<8, 8>;
-  return &EwmmAccumulate<0, 0>;
+/// The COMP kernels of one geometry; the constructor picks the entry for
+/// its config.
+struct CompKernels {
+  int pt, pi, po;  ///< 0 = any (runtime trip counts)
+  void (*wino)(const CompFields&, const CompSlabs&);
+  void (*wino_emit)(const CompFields&, const EmitSlabs&, const Requant&);
+  void (*spatial)(const CompFields&, const CompSlabs&);
+};
+
+namespace {
+
+template <int PT, int PI, int PO>
+constexpr CompKernels KernelsFor() {
+  return {PT, PI, PO, &WinogradComp<PT, PI, PO>, &WinogradEmit<PT, PO>,
+          &SpatialComp<PI, PO>};
 }
 
-SpatialFn SelectSpatial(int pi, int po) {
-  if (pi == 4 && po == 4) return &SpatialAccumulate<4, 4>;
-  if (pi == 8 && po == 4) return &SpatialAccumulate<8, 4>;
-  if (pi == 8 && po == 8) return &SpatialAccumulate<8, 8>;
-  return &SpatialAccumulate<0, 0>;
+/// Every design point the DSE enumerates (dse/search.cc: powers of two,
+/// PO <= PI, PI * PT <= 32), then the runtime-geometry fallbacks.
+constexpr CompKernels kCompKernels[] = {
+    KernelsFor<4, 1, 1>(), KernelsFor<4, 2, 1>(), KernelsFor<4, 2, 2>(),
+    KernelsFor<4, 4, 1>(), KernelsFor<4, 4, 2>(), KernelsFor<4, 4, 4>(),
+    KernelsFor<4, 8, 1>(), KernelsFor<4, 8, 2>(), KernelsFor<4, 8, 4>(),
+    KernelsFor<4, 8, 8>(), KernelsFor<6, 1, 1>(), KernelsFor<6, 2, 1>(),
+    KernelsFor<6, 2, 2>(), KernelsFor<6, 4, 1>(), KernelsFor<6, 4, 2>(),
+    KernelsFor<6, 4, 4>(), KernelsFor<4, 0, 0>(), KernelsFor<6, 0, 0>(),
+};
+
+const CompKernels* SelectKernels(const AccelConfig& cfg) {
+  for (const CompKernels& k : kCompKernels) {
+    if (k.pt == cfg.pt && ((k.pi == cfg.pi && k.po == cfg.po) ||
+                           (k.pi == 0 && k.po == 0))) {
+      return &k;
+    }
+  }
+  throw InternalError("no COMP kernels for " + cfg.ToString());
 }
 
 }  // namespace
@@ -134,6 +426,7 @@ Accelerator::Accelerator(const AccelConfig& cfg, const FpgaSpec& spec)
   output_buf_.assign(
       static_cast<std::size_t>(2 * cfg_.output_buffer_vectors * cfg_.po), 0);
   bias_buf_.assign(static_cast<std::size_t>(2 * kBiasCapacity), 0);
+  kernels_ = SelectKernels(cfg_);
 }
 
 std::int16_t* Accelerator::ResidentSpan(std::int64_t addr, std::int64_t words) {
@@ -346,45 +639,32 @@ Accelerator::ExecResult Accelerator::ExecLoadBias(const LoadFields& f,
   return res;
 }
 
-void Accelerator::CompWinograd(const CompFields& f) {
-  const int pi = cfg_.pi, po = cfg_.po, pt = cfg_.pt;
-  const int m = cfg_.wino_m();
+void Accelerator::CompMacs(const CompFields& f) {
+  const int pi = cfg_.pi, po = cfg_.po;
   const int icv = f.ic_vecs, ocv = f.oc_vecs;
-  const int tiles = f.oh_num * f.ow_num;
-  const std::int64_t ee = static_cast<std::int64_t>(pt) * pt;
-  const std::int64_t kk = ee;  // weight slab rc dimension for Winograd
-  const std::int64_t accum_size =
-      static_cast<std::int64_t>(tiles) * ocv * ee * po;
-  EnsureAccum(accum_size, f.accum_clear);
-
-  // Scratch arenas: grown once, reused across tiles and COMP instructions.
-  const std::size_t v_elems =
-      static_cast<std::size_t>(icv) * static_cast<std::size_t>(ee) *
-      static_cast<std::size_t>(pi);
-  if (wino_v_.size() < v_elems) wino_v_.resize(v_elems);
-  if (wino_dtile_.size() < static_cast<std::size_t>(ee)) {
-    wino_dtile_.resize(static_cast<std::size_t>(ee));
-    wino_vtile_.resize(static_cast<std::size_t>(ee));
-    wino_tmp_.resize(static_cast<std::size_t>(ee));
-  }
+  // A Winograd COMP steps PT x PT input tiles by m and multiplies the PT*PT
+  // transformed elements of each; a Spatial COMP steps kh x kw windows by
+  // the stride and multiplies each tap. kk is the weight slab's rc extent.
+  const int step = f.wino ? cfg_.wino_m() : f.stride;
+  const int kh = f.wino ? cfg_.pt : f.kh;
+  const int kw = f.wino ? cfg_.pt : f.kw;
+  const std::int64_t kk = static_cast<std::int64_t>(kh) * kw;
+  const std::int64_t outs = static_cast<std::int64_t>(f.oh_num) * f.ow_num;
+  EnsureAccum(outs * ocv * (f.wino ? kk : 1) * po, f.accum_clear);
 
   // Hoisted slab addressing: validate the whole COMP's access ranges once,
-  // then walk raw base pointers inside the tile loops. The vector index is
-  // monotone in (row, col, cvi), so the extremes bound every access.
-  const std::int64_t max_row =
-      static_cast<std::int64_t>(f.base_row) +
-      static_cast<std::int64_t>(f.oh_num - 1) * m + pt - 1;
-  const std::int64_t max_col =
-      static_cast<std::int64_t>(f.base_col) +
-      static_cast<std::int64_t>(f.ow_num - 1) * m + pt - 1;
+  // then the kernels walk raw base pointers. The vector index is monotone
+  // in (row, col, cvi), so the extremes bound every access.
+  const std::int64_t max_row = static_cast<std::int64_t>(f.base_row) +
+                               static_cast<std::int64_t>(f.oh_num - 1) * step +
+                               kh - 1;
+  const std::int64_t max_col = static_cast<std::int64_t>(f.base_col) +
+                               static_cast<std::int64_t>(f.ow_num - 1) * step +
+                               kw - 1;
   const std::int64_t max_vec =
       f.inp_buff_base + (max_row * f.iw_num + max_col) * icv + (icv - 1);
   HDNN_INTERNAL(max_vec < cfg_.input_buffer_vectors)
       << "input slab vector " << max_vec << " out of range";
-  const std::int32_t* const in_base =
-      input_buf_.data() +
-      static_cast<std::size_t>(static_cast<std::int64_t>(f.inp_buff_id) *
-                               cfg_.input_buffer_vectors * pi);
 
   const std::int64_t wgt_cap =
       static_cast<std::int64_t>(cfg_.weight_buffer_vectors) * pi * po;
@@ -394,85 +674,35 @@ void Accelerator::CompWinograd(const CompFields& f) {
       wgt_lo + static_cast<std::int64_t>(ocv) * icv * kk * po * pi;
   HDNN_INTERNAL(wgt_hi - 1 < wgt_cap)
       << "weight slab slot " << wgt_hi - 1 << " out of range";
-  const std::int32_t* const wgt_base =
-      weight_buf_.data() +
-      static_cast<std::size_t>(
-          static_cast<std::int64_t>(f.wgt_buff_id) * wgt_cap + wgt_lo);
-  const EwmmFn ewmm = SelectEwmm(pi, po);
 
-  for (int ty = 0; ty < f.oh_num; ++ty) {
-    for (int tx = 0; tx < f.ow_num; ++tx) {
-      // Input transforms for every channel lane, scattered into the
-      // [cvi][e][ci] arena so the EWMM's ci reduction is stride-1.
-      const std::int64_t row0 =
-          f.base_row + static_cast<std::int64_t>(ty) * m;
-      const std::int64_t col0 =
-          f.base_col + static_cast<std::int64_t>(tx) * m;
-      for (int cvi = 0; cvi < icv; ++cvi) {
-        std::int32_t* const v_cv =
-            wino_v_.data() + static_cast<std::size_t>(cvi) *
-                                 static_cast<std::size_t>(ee) *
-                                 static_cast<std::size_t>(pi);
-        for (int ci = 0; ci < pi; ++ci) {
-          for (int y = 0; y < pt; ++y) {
-            const std::int32_t* const in_row =
-                in_base + ((f.inp_buff_base +
-                            ((row0 + y) * f.iw_num + col0) * icv + cvi) *
-                           pi);
-            for (int x = 0; x < pt; ++x) {
-              wino_dtile_[static_cast<std::size_t>(y * pt + x)] =
-                  in_row[static_cast<std::int64_t>(x) * icv * pi + ci];
-            }
-          }
-          TransformInputTileInto(wino_dtile_, pt, wino_vtile_, wino_tmp_);
-          for (std::int64_t e = 0; e < ee; ++e) {
-            v_cv[e * pi + ci] = wino_vtile_[static_cast<std::size_t>(e)];
-          }
-        }
-      }
-      // EWMM accumulation: each GEMM core (element e) handles PI x PO.
-      // Both operand streams of the ci reduction are now contiguous: the
-      // weight slab stores (((kv*icv+cvi)*kk+e)*po+co)*pi+ci and the arena
-      // stores (cvi*ee+e)*pi+ci.
-      const std::int64_t tile_idx =
-          static_cast<std::int64_t>(ty) * f.ow_num + tx;
-      for (int kv = 0; kv < ocv; ++kv) {
-        std::int64_t* const acc_kv =
-            accum_.data() +
-            static_cast<std::size_t>((tile_idx * ocv + kv) * ee * po);
-        for (int cvi = 0; cvi < icv; ++cvi) {
-          const std::int32_t* const w_cv =
-              wgt_base + (static_cast<std::int64_t>(kv) * icv + cvi) * kk *
-                             po * pi;
-          const std::int32_t* const v_cv =
-              wino_v_.data() + static_cast<std::size_t>(cvi) *
-                                   static_cast<std::size_t>(ee) *
-                                   static_cast<std::size_t>(pi);
-          ewmm(w_cv, v_cv, acc_kv, ee, pi, po);
-        }
-      }
-    }
+  if (f.wino) {
+    // The transform of int16 words stays in int32 (see the kernels).
+    HDNN_INTERNAL(InputTransformGrowth(cfg_.pt) * 32768 <= INT32_MAX)
+        << "input transform of PT " << cfg_.pt << " overflows int32";
+    GrowScratch(icv * kk * pi, kk * po * pi);
+  } else {
+    GrowScratch(2 * icv * kk, static_cast<std::int64_t>(ocv) * po * pi);
   }
-  macs_executed_ +=
-      static_cast<std::int64_t>(tiles) * icv * ocv * ee * pi * po;
+  const CompSlabs slabs{
+      input_buf_.data() +
+          static_cast<std::size_t>(static_cast<std::int64_t>(f.inp_buff_id) *
+                                   cfg_.input_buffer_vectors * pi),
+      weight_buf_.data() +
+          static_cast<std::size_t>(
+              static_cast<std::int64_t>(f.wgt_buff_id) * wgt_cap + wgt_lo),
+      accum_.data(),
+      scratch_.data(),
+      lanes_.data(),
+      pi,
+      po};
+  (f.wino ? kernels_->wino : kernels_->spatial)(f, slabs);
 }
 
 void Accelerator::EmitWinograd(const CompFields& f) {
-  const int po = cfg_.po, pt = cfg_.pt;
+  const int po = cfg_.po;
   const int m = cfg_.wino_m();
   const int ocv = f.oc_vecs;
-  const std::int64_t ee = static_cast<std::int64_t>(pt) * pt;
   const int slab_cols = f.ow_num * m;
-
-  if (emit_m_.size() < static_cast<std::size_t>(ee)) {
-    emit_m_.resize(static_cast<std::size_t>(ee));
-  }
-  if (emit_y_.size() < static_cast<std::size_t>(m * m)) {
-    emit_y_.resize(static_cast<std::size_t>(m * m));
-  }
-  if (emit_tmp_.size() < static_cast<std::size_t>(m * pt)) {
-    emit_tmp_.resize(static_cast<std::size_t>(m * pt));
-  }
 
   // Hoisted output-slab bound: the vector index is monotone in (row, col,
   // kv), so checking the extreme access covers the whole COMP.
@@ -484,115 +714,15 @@ void Accelerator::EmitWinograd(const CompFields& f) {
       (ocv - 1);
   HDNN_CHECK(out_max_vec < cfg_.output_buffer_vectors)
       << "COMP output slab overflows output buffer half";
-  std::int32_t* const out_base =
-      output_buf_.data() +
-      static_cast<std::size_t>(static_cast<std::int64_t>(f.out_buff_id) *
-                               cfg_.output_buffer_vectors * po);
-  const std::int32_t* const bias_base =
+  const EmitSlabs slabs{
+      accum_.data(),
       bias_buf_.data() +
-      static_cast<std::size_t>(f.wgt_buff_id * kBiasCapacity);
-
-  for (int ty = 0; ty < f.oh_num; ++ty) {
-    for (int tx = 0; tx < f.ow_num; ++tx) {
-      const std::int64_t tile_idx =
-          static_cast<std::int64_t>(ty) * f.ow_num + tx;
-      for (int kv = 0; kv < ocv; ++kv) {
-        const std::int64_t* const acc_kv =
-            accum_.data() +
-            static_cast<std::size_t>((tile_idx * ocv + kv) * ee * po);
-        for (int co = 0; co < po; ++co) {
-          for (std::int64_t e = 0; e < ee; ++e) {
-            emit_m_[static_cast<std::size_t>(e)] = acc_kv[e * po + co];
-          }
-          TransformOutputTileInto(emit_m_, pt, emit_y_, emit_tmp_);
-          const std::int64_t bias = bias_base[kv * po + co];
-          for (int dy = 0; dy < m; ++dy) {
-            for (int dx = 0; dx < m; ++dx) {
-              std::int64_t q = Requantize(
-                  emit_y_[static_cast<std::size_t>(dy * m + dx)] + bias,
-                  f.quan, cfg_.data_width);
-              if (f.relu && q < 0) q = 0;
-              const std::int64_t row = static_cast<std::int64_t>(ty) * m + dy;
-              const std::int64_t col = static_cast<std::int64_t>(tx) * m + dx;
-              const std::int64_t vec =
-                  f.out_buff_base + (row * slab_cols + col) * ocv + kv;
-              out_base[vec * po + co] = static_cast<std::int32_t>(q);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-void Accelerator::CompSpatial(const CompFields& f) {
-  const int pi = cfg_.pi, po = cfg_.po;
-  const int icv = f.ic_vecs, ocv = f.oc_vecs;
-  const std::int64_t positions =
-      static_cast<std::int64_t>(f.oh_num) * f.ow_num;
-  const std::int64_t accum_size = positions * ocv * po;
-  EnsureAccum(accum_size, f.accum_clear);
-  const std::int64_t kk = static_cast<std::int64_t>(f.kh) * f.kw;
-
-  // Hoisted slab addressing (see CompWinograd): one range check per COMP,
-  // raw base pointers inside the MAC loops.
-  const std::int64_t max_row =
-      static_cast<std::int64_t>(f.base_row) +
-      static_cast<std::int64_t>(f.oh_num - 1) * f.stride + f.kh - 1;
-  const std::int64_t max_col =
-      static_cast<std::int64_t>(f.base_col) +
-      static_cast<std::int64_t>(f.ow_num - 1) * f.stride + f.kw - 1;
-  const std::int64_t max_vec =
-      f.inp_buff_base + (max_row * f.iw_num + max_col) * icv + (icv - 1);
-  HDNN_INTERNAL(max_vec < cfg_.input_buffer_vectors)
-      << "input slab vector " << max_vec << " out of range";
-  const std::int32_t* const in_base =
-      input_buf_.data() +
-      static_cast<std::size_t>(static_cast<std::int64_t>(f.inp_buff_id) *
-                               cfg_.input_buffer_vectors * pi);
-
-  const std::int64_t wgt_cap =
-      static_cast<std::int64_t>(cfg_.weight_buffer_vectors) * pi * po;
-  const std::int64_t wgt_lo =
-      static_cast<std::int64_t>(f.wgt_buff_base) * pi * po;
-  const std::int64_t wgt_hi =
-      wgt_lo + static_cast<std::int64_t>(ocv) * icv * kk * po * pi;
-  HDNN_INTERNAL(wgt_hi - 1 < wgt_cap)
-      << "weight slab slot " << wgt_hi - 1 << " out of range";
-  const std::int32_t* const wgt_base =
-      weight_buf_.data() +
-      static_cast<std::size_t>(
-          static_cast<std::int64_t>(f.wgt_buff_id) * wgt_cap + wgt_lo);
-
-  const std::int64_t kv_stride = static_cast<std::int64_t>(icv) * kk * po * pi;
-  const SpatialFn spatial = SelectSpatial(pi, po);
-  for (int ro = 0; ro < f.oh_num; ++ro) {
-    for (int co_pos = 0; co_pos < f.ow_num; ++co_pos) {
-      const std::int64_t pos =
-          static_cast<std::int64_t>(ro) * f.ow_num + co_pos;
-      std::int64_t* const acc_pos =
-          accum_.data() + static_cast<std::size_t>(pos * ocv * po);
-      for (int r = 0; r < f.kh; ++r) {
-        for (int s = 0; s < f.kw; ++s) {
-          const std::int64_t row =
-              f.base_row + static_cast<std::int64_t>(ro) * f.stride + r;
-          const std::int64_t col =
-              f.base_col + static_cast<std::int64_t>(co_pos) * f.stride + s;
-          const std::int64_t rc = static_cast<std::int64_t>(r) * f.kw + s;
-          const std::int32_t* const in_px =
-              in_base +
-              (f.inp_buff_base + (row * f.iw_num + col) * icv) * pi;
-          const std::int32_t* const w_rc = wgt_base + rc * po * pi;
-          for (int cvi = 0; cvi < icv; ++cvi) {
-            spatial(in_px + cvi * pi,
-                    w_rc + static_cast<std::int64_t>(cvi) * kk * po * pi,
-                    acc_pos, ocv, kv_stride, pi, po);
-          }
-        }
-      }
-    }
-  }
-  macs_executed_ += positions * kk * icv * ocv * pi * po;
+          static_cast<std::size_t>(f.wgt_buff_id * kBiasCapacity),
+      output_buf_.data() +
+          static_cast<std::size_t>(static_cast<std::int64_t>(f.out_buff_id) *
+                                   cfg_.output_buffer_vectors * po),
+      po};
+  kernels_->wino_emit(f, slabs, Requant(f.quan, cfg_.data_width, f.relu));
 }
 
 void Accelerator::EmitSpatial(const CompFields& f) {
@@ -617,42 +747,45 @@ void Accelerator::EmitSpatial(const CompFields& f) {
       static_cast<std::size_t>(f.wgt_buff_id * kBiasCapacity);
 
   // Output vectors are written densely: vec = out_buff_base + pos*ocv + kv,
-  // so one linear walk covers the whole emit.
+  // so one linear walk covers the whole emit, and the bias index of element
+  // kv*po + lane is the element's offset within its position.
+  const Requant rq(f.quan, cfg_.data_width, f.relu);
+  const std::int64_t pos_elems = static_cast<std::int64_t>(ocv) * po;
   for (std::int64_t pos = 0; pos < positions; ++pos) {
-    const std::int64_t* const acc_pos =
-        accum_.data() + static_cast<std::size_t>(pos * ocv * po);
-    std::int32_t* const out_pos = out_base + pos * ocv * po;
-    for (int kv = 0; kv < ocv; ++kv) {
-      const std::int32_t* const bias_kv = bias_base + kv * po;
-      for (int lane = 0; lane < po; ++lane) {
-        std::int64_t q = Requantize(
-            acc_pos[kv * po + lane] + static_cast<std::int64_t>(bias_kv[lane]),
-            f.quan, cfg_.data_width);
-        if (f.relu && q < 0) q = 0;
-        out_pos[static_cast<std::int64_t>(kv) * po + lane] =
-            static_cast<std::int32_t>(q);
-      }
+    const std::int64_t* const acc_pos = accum_.data() + pos * pos_elems;
+    std::int32_t* const out_pos = out_base + pos * pos_elems;
+    for (std::int64_t j = 0; j < pos_elems; ++j) {
+      out_pos[j] = rq(acc_pos[j] + bias_base[j]);
     }
+  }
+}
+
+void Accelerator::GrowScratch(std::int64_t scratch, std::int64_t lanes) {
+  if (static_cast<std::int64_t>(scratch_.size()) < scratch) {
+    scratch_.resize(static_cast<std::size_t>(scratch));
+  }
+  if (static_cast<std::int64_t>(lanes_.size()) < lanes) {
+    lanes_.resize(static_cast<std::size_t>(lanes));
   }
 }
 
 Accelerator::ExecResult Accelerator::ExecComp(const CompFields& f,
                                               bool functional) {
   if (functional) {
-    if (f.wino) {
-      CompWinograd(f);
-      if (f.accum_emit) EmitWinograd(f);
-    } else {
-      CompSpatial(f);
-      if (f.accum_emit) EmitSpatial(f);
+    CompMacs(f);
+    if (f.accum_emit) {
+      if (f.wino) {
+        EmitWinograd(f);
+      } else {
+        EmitSpatial(f);
+      }
     }
-  } else {
-    const std::int64_t per_pair =
-        f.wino ? static_cast<std::int64_t>(cfg_.pt) * cfg_.pt
-               : static_cast<std::int64_t>(f.kh) * f.kw;
-    macs_executed_ += static_cast<std::int64_t>(f.oh_num) * f.ow_num *
-                      f.ic_vecs * f.oc_vecs * per_pair * cfg_.pi * cfg_.po;
   }
+  const std::int64_t per_pair =
+      f.wino ? static_cast<std::int64_t>(cfg_.pt) * cfg_.pt
+             : static_cast<std::int64_t>(f.kh) * f.kw;
+  macs_executed_ += static_cast<std::int64_t>(f.oh_num) * f.ow_num *
+                    f.ic_vecs * f.oc_vecs * per_pair * cfg_.pi * cfg_.po;
 
   // Timing: one GEMV step per cycle (paper Sec. 4.2.2). Winograd consumes
   // (icv x ocv) vector pairs per tile; Spatial consumes PT-vector channel

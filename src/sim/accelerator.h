@@ -47,6 +47,8 @@
 
 namespace hdnn {
 
+struct CompKernels;
+
 struct SimStats {
   double total_cycles = 0;
   std::vector<double> completion;  ///< per-instruction completion time
@@ -108,13 +110,16 @@ class Accelerator {
   /// per inference, so never-written pad channels read identically).
   std::int16_t* ResidentSpan(std::int64_t addr, std::int64_t words);
 
-  void CompWinograd(const CompFields& f);
-  void CompSpatial(const CompFields& f);
+  /// A functional COMP's MACs into the accumulation buffer (both modes).
+  void CompMacs(const CompFields& f);
   void EmitWinograd(const CompFields& f);
   void EmitSpatial(const CompFields& f);
 
   /// Sizes the accumulation buffer for one COMP, reusing existing storage.
   void EnsureAccum(std::int64_t size, bool clear);
+  /// Grows the COMP scratch arenas to `scratch` int32 elements and `lanes`
+  /// lane accumulators.
+  void GrowScratch(std::int64_t scratch, std::int64_t lanes);
 
   AccelConfig cfg_;
   double bw_elems_per_cycle_;
@@ -144,18 +149,15 @@ class Accelerator {
   std::vector<std::int32_t> bias_buf_;    // 2 * kBiasCapacity
   std::vector<std::int64_t> accum_;       // PE accumulation buffer
 
-  // Flat scratch arenas for the COMP datapath. Sized on first use (growing
-  // monotonically) and reused across tiles and instructions, so steady-state
-  // per-tile loops perform zero heap allocations (see DESIGN.md).
-  std::vector<std::int32_t> wino_v_;      // icv*ee*pi transformed inputs,
-                                          // laid out [cvi][e][ci] so the ci
-                                          // MAC reduction is contiguous
-  std::vector<std::int32_t> wino_dtile_;  // pt*pt input gather tile
-  std::vector<std::int32_t> wino_vtile_;  // pt*pt transform result tile
-  std::vector<std::int64_t> wino_tmp_;    // pt*pt transform intermediate
-  std::vector<std::int64_t> emit_m_;      // ee accumulator gather tile
-  std::vector<std::int64_t> emit_y_;      // m*m output transform result
-  std::vector<std::int64_t> emit_tmp_;    // m*pt transform intermediate
+  // COMP scratch arenas, grown on first use and reused across COMPs, so
+  // the steady-state COMP loops perform no heap allocation (DESIGN.md).
+  std::vector<std::int32_t> scratch_;  // Winograd: icv*ee*pi transformed
+                                       // inputs, [cvi][e][ci]; Spatial: the
+                                       // nonzero input vectors' offsets
+  std::vector<std::int64_t> lanes_;    // int64 lane accumulators: [e][co][ci]
+                                       // (Winograd), [kv][co][ci] (Spatial)
+  /// The COMP kernels compiled for this config's geometry.
+  const CompKernels* kernels_ = nullptr;
   std::vector<std::int32_t> save_line_;   // SAVE pool-window channel line
 
   std::int64_t macs_executed_ = 0;

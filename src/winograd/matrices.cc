@@ -1,21 +1,9 @@
 #include "winograd/matrices.h"
 
-#include <array>
-
 namespace hdnn {
 namespace {
 
 // F(2x2, 3x3): PT = 4.
-constexpr std::array<int, 16> kBT4 = {
-    1, 0, -1, 0,   //
-    0, 1, 1, 0,    //
-    0, -1, 1, 0,   //
-    0, 1, 0, -1,   //
-};
-constexpr std::array<int, 8> kAT4 = {
-    1, 1, 1, 0,    //
-    0, 1, -1, -1,  //
-};
 constexpr std::array<double, 12> kG4 = {
     1.0, 0.0, 0.0,    //
     0.5, 0.5, 0.5,    //
@@ -24,20 +12,6 @@ constexpr std::array<double, 12> kG4 = {
 };
 
 // F(4x4, 3x3): PT = 6.
-constexpr std::array<int, 36> kBT6 = {
-    4, 0, -5, 0,  1, 0,   //
-    0, -4, -4, 1, 1, 0,   //
-    0, 4, -4, -1, 1, 0,   //
-    0, -2, -1, 2, 1, 0,   //
-    0, 2, -1, -2, 1, 0,   //
-    0, 4, 0, -5, 0, 1,    //
-};
-constexpr std::array<int, 24> kAT6 = {
-    1, 1, 1, 1, 1, 0,     //
-    0, 1, -1, 2, -2, 0,   //
-    0, 1, 1, 4, 4, 0,     //
-    0, 1, -1, 8, -8, 1,   //
-};
 constexpr std::array<double, 18> kG6 = {
     1.0 / 4, 0.0, 0.0,              //
     -1.0 / 6, -1.0 / 6, -1.0 / 6,   //

@@ -11,6 +11,7 @@
 #ifndef HDNN_WINOGRAD_MATRICES_H_
 #define HDNN_WINOGRAD_MATRICES_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -40,6 +41,36 @@ inline WinoParam WinoParamForPt(int pt) {
   HDNN_CHECK(pt == 4 || pt == 6) << "PT must be 4 or 6, got " << pt;
   return WinoParam{pt - WinoParam::kR + 1};
 }
+
+/// The integer runtime transforms, row-major: BT is pt x pt and AT is m x pt.
+/// constexpr so the simulator's COMP kernels fold the same copy the golden
+/// reads (through WinoBT / WinoAT).
+// F(2x2, 3x3): PT = 4.
+inline constexpr std::array<int, 16> kBT4 = {
+    1, 0, -1, 0,   //
+    0, 1, 1, 0,    //
+    0, -1, 1, 0,   //
+    0, 1, 0, -1,   //
+};
+inline constexpr std::array<int, 8> kAT4 = {
+    1, 1, 1, 0,    //
+    0, 1, -1, -1,  //
+};
+// F(4x4, 3x3): PT = 6.
+inline constexpr std::array<int, 36> kBT6 = {
+    4, 0, -5, 0,  1, 0,   //
+    0, -4, -4, 1, 1, 0,   //
+    0, 4, -4, -1, 1, 0,   //
+    0, -2, -1, 2, 1, 0,   //
+    0, 2, -1, -2, 1, 0,   //
+    0, 4, 0, -5, 0, 1,    //
+};
+inline constexpr std::array<int, 24> kAT6 = {
+    1, 1, 1, 1, 1, 0,     //
+    0, 1, -1, 2, -2, 0,   //
+    0, 1, 1, 4, 4, 0,     //
+    0, 1, -1, 8, -8, 1,   //
+};
 
 /// BT: pt x pt row-major, integer entries.
 std::span<const int> WinoBT(int pt);

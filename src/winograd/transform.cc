@@ -46,14 +46,13 @@ std::vector<Acc> TileMatT(std::span<const T> tile, std::span<const M> matT,
   return out;
 }
 
-// Allocation-free input transform with compile-time PT, so the small fixed
-// loops fully unroll (PT is 4 or 6 only).
+// V = BT d B with compile-time PT, so the small fixed loops fully unroll
+// (PT is 4 or 6 only).
 template <int PT>
-void TransformInputTileIntoT(std::span<const std::int32_t> d,
-                             std::span<std::int32_t> out,
-                             std::span<std::int64_t> tmp) {
+std::vector<std::int32_t> TransformInputTileT(std::span<const std::int32_t> d) {
   const auto bt = WinoBT(PT);
   // tmp = BT d.
+  std::int64_t tmp[PT * PT];
   for (int i = 0; i < PT; ++i) {
     for (int j = 0; j < PT; ++j) {
       std::int64_t acc = 0;
@@ -63,17 +62,17 @@ void TransformInputTileIntoT(std::span<const std::int32_t> d,
                static_cast<std::int64_t>(
                    d[static_cast<std::size_t>(k * PT + j)]);
       }
-      tmp[static_cast<std::size_t>(i * PT + j)] = acc;
+      tmp[i * PT + j] = acc;
     }
   }
   // out = tmp B = tmp BT^T, narrowing with overflow check.
+  std::vector<std::int32_t> out(static_cast<std::size_t>(PT * PT));
   for (int i = 0; i < PT; ++i) {
     for (int j = 0; j < PT; ++j) {
       std::int64_t acc = 0;
       for (int k = 0; k < PT; ++k) {
-        acc += tmp[static_cast<std::size_t>(i * PT + k)] *
-               static_cast<std::int64_t>(
-                   bt[static_cast<std::size_t>(j * PT + k)]);
+        acc += tmp[i * PT + k] * static_cast<std::int64_t>(
+                                     bt[static_cast<std::size_t>(j * PT + k)]);
       }
       HDNN_INTERNAL(acc >= INT32_MIN && acc <= INT32_MAX)
           << "input transform overflow";
@@ -81,16 +80,17 @@ void TransformInputTileIntoT(std::span<const std::int32_t> d,
           static_cast<std::int32_t>(acc);
     }
   }
+  return out;
 }
 
-// Allocation-free output transform with compile-time PT (M = PT - 2).
+// Y = AT M A with compile-time PT (M = PT - 2).
 template <int PT>
-void TransformOutputTileIntoT(std::span<const std::int64_t> m_tile,
-                              std::span<std::int64_t> out,
-                              std::span<std::int64_t> tmp) {
+std::vector<std::int64_t> TransformOutputTileT(
+    std::span<const std::int64_t> m_tile) {
   constexpr int M = PT - WinoParam::kR + 1;
   const auto at = WinoAT(PT);
   // tmp = AT M.
+  std::int64_t tmp[M * PT];
   for (int i = 0; i < M; ++i) {
     for (int j = 0; j < PT; ++j) {
       std::int64_t acc = 0;
@@ -99,48 +99,34 @@ void TransformOutputTileIntoT(std::span<const std::int64_t> m_tile,
                    at[static_cast<std::size_t>(i * PT + k)]) *
                m_tile[static_cast<std::size_t>(k * PT + j)];
       }
-      tmp[static_cast<std::size_t>(i * PT + j)] = acc;
+      tmp[i * PT + j] = acc;
     }
   }
   // out = tmp A = tmp AT^T.
+  std::vector<std::int64_t> out(static_cast<std::size_t>(M * M));
   for (int i = 0; i < M; ++i) {
     for (int j = 0; j < M; ++j) {
       std::int64_t acc = 0;
       for (int k = 0; k < PT; ++k) {
-        acc += tmp[static_cast<std::size_t>(i * PT + k)] *
-               static_cast<std::int64_t>(
-                   at[static_cast<std::size_t>(j * PT + k)]);
+        acc += tmp[i * PT + k] * static_cast<std::int64_t>(
+                                     at[static_cast<std::size_t>(j * PT + k)]);
       }
       out[static_cast<std::size_t>(i * M + j)] = acc;
     }
   }
+  return out;
 }
 
 }  // namespace
 
 std::vector<std::int32_t> TransformInputTile(std::span<const std::int32_t> d,
                                              int pt) {
-  std::vector<std::int32_t> out(static_cast<std::size_t>(pt * pt));
-  std::vector<std::int64_t> tmp(static_cast<std::size_t>(pt * pt));
-  TransformInputTileInto(d, pt, out, tmp);
-  return out;
-}
-
-void TransformInputTileInto(std::span<const std::int32_t> d, int pt,
-                            std::span<std::int32_t> out,
-                            std::span<std::int64_t> tmp) {
+  WinoParamForPt(pt);  // rejects PT outside {4, 6}
   HDNN_CHECK(static_cast<int>(d.size()) == pt * pt)
       << "input tile size " << d.size() << " != " << pt * pt;
-  HDNN_CHECK(static_cast<int>(out.size()) >= pt * pt &&
-             static_cast<int>(tmp.size()) >= pt * pt)
-      << "input transform scratch too small";
   // V = BT d B == (BT d) B; B == BT^T so right-multiplying by B is a product
-  // against BT's rows (WinoBT rejects PT outside {4, 6}).
-  if (pt == 4) {
-    TransformInputTileIntoT<4>(d, out, tmp);
-  } else {
-    TransformInputTileIntoT<6>(d, out, tmp);
-  }
+  // against BT's rows.
+  return pt == 4 ? TransformInputTileT<4>(d) : TransformInputTileT<6>(d);
 }
 
 std::vector<double> TransformInputTileF(std::span<const double> d, int pt) {
@@ -180,27 +166,11 @@ std::vector<std::int16_t> TransformKernelQ(std::span<const std::int8_t> g,
 
 std::vector<std::int64_t> TransformOutputTile(
     std::span<const std::int64_t> m_tile, int pt) {
-  const int m = WinoParamForPt(pt).m;
-  std::vector<std::int64_t> out(static_cast<std::size_t>(m * m));
-  std::vector<std::int64_t> tmp(static_cast<std::size_t>(m * pt));
-  TransformOutputTileInto(m_tile, pt, out, tmp);
-  return out;
-}
-
-void TransformOutputTileInto(std::span<const std::int64_t> m_tile, int pt,
-                             std::span<std::int64_t> out,
-                             std::span<std::int64_t> tmp) {
+  WinoParamForPt(pt);  // rejects PT outside {4, 6}
   HDNN_CHECK(static_cast<int>(m_tile.size()) == pt * pt) << "bad M tile";
-  const int m = WinoParamForPt(pt).m;
-  HDNN_CHECK(static_cast<int>(out.size()) >= m * m &&
-             static_cast<int>(tmp.size()) >= m * pt)
-      << "output transform scratch too small";
   // Y = AT M A == (AT M) A with A == AT^T.
-  if (pt == 4) {
-    TransformOutputTileIntoT<4>(m_tile, out, tmp);
-  } else {
-    TransformOutputTileIntoT<6>(m_tile, out, tmp);
-  }
+  return pt == 4 ? TransformOutputTileT<4>(m_tile)
+                 : TransformOutputTileT<6>(m_tile);
 }
 
 std::vector<double> TransformOutputTileF(std::span<const double> m_tile,

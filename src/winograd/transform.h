@@ -19,13 +19,6 @@ namespace hdnn {
 std::vector<std::int32_t> TransformInputTile(std::span<const std::int32_t> d,
                                              int pt);
 
-/// Allocation-free variant of TransformInputTile for hot loops: writes the
-/// pt*pt result into `out`; `tmp` is pt*pt of int64 caller-provided scratch.
-/// `out` and `tmp` may be reused across calls; `d` must not alias them.
-void TransformInputTileInto(std::span<const std::int32_t> d, int pt,
-                            std::span<std::int32_t> out,
-                            std::span<std::int64_t> tmp);
-
 /// Float variant for numeric analysis.
 std::vector<double> TransformInputTileF(std::span<const double> d, int pt);
 
@@ -41,13 +34,6 @@ std::vector<std::int16_t> TransformKernelQ(std::span<const std::int8_t> g,
 /// Y = AT M A. M is the pt x pt EWMM accumulator tile; Y is m x m.
 std::vector<std::int64_t> TransformOutputTile(std::span<const std::int64_t> m_tile,
                                               int pt);
-
-/// Allocation-free variant of TransformOutputTile: writes the m*m result
-/// into `out`; `tmp` is m*pt of int64 caller-provided scratch. `m_tile` must
-/// not alias `out` or `tmp`.
-void TransformOutputTileInto(std::span<const std::int64_t> m_tile, int pt,
-                             std::span<std::int64_t> out,
-                             std::span<std::int64_t> tmp);
 
 /// Float variant.
 std::vector<double> TransformOutputTileF(std::span<const double> m_tile,

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bits.h"
@@ -378,6 +380,24 @@ TEST(TypesTest, AccelConfigValidation) {
   cfg.pt = 6;
   cfg.po = 8;  // violates PI >= PO
   EXPECT_THROW(cfg.Validate(), InvalidArgument);
+  // PO must divide PI: channels pad to whole PI-lane vectors.
+  for (const auto& [pi, po] : {std::pair{3, 2}, std::pair{4, 3},
+                               std::pair{8, 3}, std::pair{6, 4}}) {
+    cfg.pi = pi;
+    cfg.po = po;
+    try {
+      cfg.Validate();
+      ADD_FAILURE() << "PI=" << pi << " PO=" << po << " passed Validate";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("PI=" + std::to_string(pi) +
+                                           " PO=" + std::to_string(po)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  cfg.pi = 6;
+  cfg.po = 3;
+  EXPECT_NO_THROW(cfg.Validate());
 }
 
 TEST(TypesTest, WinoMDerivedFromPt) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "dse/search.h"
+#include "frontend/parser.h"
 #include "nn/builders.h"
 #include "platform/fpga_spec.h"
 
@@ -178,6 +179,28 @@ TEST(DseExploreTest, InfeasibleModelThrows) {
   tiny.luts = 2000;
   tiny.dsps = 40;
   EXPECT_THROW(DseEngine(tiny).Explore(m), Error);
+}
+
+TEST(DseExploreTest, PlatformWithoutCandidatesIsACapacityError) {
+  // The smallest candidate (PI = PO = 1, PT 4, NI 1, the last buffer rung)
+  // needs 2315.5 LUTs / 57 DSPs / 34.7 BRAM18 by the analytical model and
+  // 8632 / 57 / 24 by the implementation model.
+  const FpgaSpec tiny = ParseFpgaSpecText(
+      "fpga tiny\nluts 2000\ndsps 40\nbram18 16\nbandwidth_gbps 1\n"
+      "freq_mhz 100\n");
+  try {
+    DseEngine(tiny).Explore(BuildTinyCnn());
+    ADD_FAILURE() << "a platform no candidate fits explored";
+  } catch (const CapacityError& e) {
+    EXPECT_STREQ(e.what(),
+                 "no accelerator configuration fits platform tiny: the "
+                 "smallest, AccelConfig{PI=1,PO=1,PT=4,NI=1} on the smallest "
+                 "buffers, exceeds LUTs (needs 2315.5 analytical / 8632.0 "
+                 "implementation, limits 2000 / 2000.0), DSPs (needs 57.0 "
+                 "analytical / 57.0 implementation, limits 40 / 40.0), BRAM18 "
+                 "(needs 34.7 analytical / 24.0 implementation, limits 16 / "
+                 "16.0)");
+  }
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 namespace hdnn {
 namespace {
 
+using ::hdnn::testing::EndToEndResult;
+using ::hdnn::testing::MakeInput;
 using ::hdnn::testing::RunEndToEnd;
 using ::hdnn::testing::RunSingleLayer;
 using ::hdnn::testing::TestConfig;
@@ -30,47 +32,46 @@ std::ostream& operator<<(std::ostream& os, const ConvCase& cc) {
   return os << cc.label;
 }
 
+/// A PE geometry: the GEMM-core grid PT and the PI x PO MAC array.
+struct Geometry {
+  int pt, pi, po;
+};
+
 class SingleConvTest
-    : public ::testing::TestWithParam<std::tuple<ConvCase, int>> {};
+    : public ::testing::TestWithParam<std::tuple<ConvCase, Geometry>> {
+ protected:
+  EndToEndResult Run(ConvMode mode, Dataflow flow) const {
+    const auto& [cc, g] = GetParam();
+    const Model m = BuildSingleConv(cc.c, cc.k, cc.h, cc.w, cc.kernel,
+                                    cc.stride, cc.pad, cc.relu);
+    return RunSingleLayer(m, mode, flow, TestConfig(g.pt, g.pi, g.po));
+  }
+};
 
 TEST_P(SingleConvTest, SpatialMatchesGoldenIS) {
-  const auto& [cc, pt] = GetParam();
-  const Model m = BuildSingleConv(cc.c, cc.k, cc.h, cc.w, cc.kernel, cc.stride,
-                                  cc.pad, cc.relu);
-  auto r = RunSingleLayer(m, ConvMode::kSpatial,
-                          Dataflow::kInputStationary, TestConfig(pt));
+  auto r = Run(ConvMode::kSpatial, Dataflow::kInputStationary);
   EXPECT_EQ(r.sim_out, r.golden_out);
 }
 
 TEST_P(SingleConvTest, SpatialMatchesGoldenWS) {
-  const auto& [cc, pt] = GetParam();
-  const Model m = BuildSingleConv(cc.c, cc.k, cc.h, cc.w, cc.kernel, cc.stride,
-                                  cc.pad, cc.relu);
-  auto r = RunSingleLayer(m, ConvMode::kSpatial,
-                          Dataflow::kWeightStationary, TestConfig(pt));
+  auto r = Run(ConvMode::kSpatial, Dataflow::kWeightStationary);
   EXPECT_EQ(r.sim_out, r.golden_out);
 }
 
 TEST_P(SingleConvTest, WinogradMatchesGoldenIS) {
-  const auto& [cc, pt] = GetParam();
+  const ConvCase& cc = std::get<0>(GetParam());
   if (cc.stride != 1) GTEST_SKIP() << "Winograd requires stride 1";
-  const Model m = BuildSingleConv(cc.c, cc.k, cc.h, cc.w, cc.kernel, cc.stride,
-                                  cc.pad, cc.relu);
-  auto r = RunSingleLayer(m, ConvMode::kWinograd,
-                          Dataflow::kInputStationary, TestConfig(pt));
+  auto r = Run(ConvMode::kWinograd, Dataflow::kInputStationary);
   EXPECT_EQ(r.sim_out, r.golden_out);
 }
 
 TEST_P(SingleConvTest, WinogradMatchesGoldenWS) {
-  const auto& [cc, pt] = GetParam();
+  const ConvCase& cc = std::get<0>(GetParam());
   if (cc.stride != 1) GTEST_SKIP() << "Winograd requires stride 1";
   if (NumKernelSlices(cc.kernel, cc.kernel) > 1) {
     GTEST_SKIP() << "decomposed kernels are IS-only";
   }
-  const Model m = BuildSingleConv(cc.c, cc.k, cc.h, cc.w, cc.kernel, cc.stride,
-                                  cc.pad, cc.relu);
-  auto r = RunSingleLayer(m, ConvMode::kWinograd,
-                          Dataflow::kWeightStationary, TestConfig(pt));
+  auto r = Run(ConvMode::kWinograd, Dataflow::kWeightStationary);
   EXPECT_EQ(r.sim_out, r.golden_out);
 }
 
@@ -90,12 +91,89 @@ constexpr ConvCase kConvCases[] = {
     {8, 8, 11, 11, 11, 1, 5, false, 1, "k11_full"},
 };
 
+// Every PE geometry the DSE enumerates (dse/search.cc: PI a power of two
+// with PI * PT <= 32, PO <= PI a power of two), each of which the simulator
+// runs on kernels compiled for it, plus PI 6 / PO 3, which the DSE never
+// proposes, on the kernels with runtime trip counts.
+constexpr Geometry kGeometries[] = {
+    {4, 1, 1}, {4, 2, 1}, {4, 2, 2}, {4, 4, 1}, {4, 4, 2}, {4, 4, 4},
+    {4, 8, 1}, {4, 8, 2}, {4, 8, 4}, {4, 8, 8}, {6, 1, 1}, {6, 2, 1},
+    {6, 2, 2}, {6, 4, 1}, {6, 4, 2}, {6, 4, 4}, {4, 6, 3}, {6, 6, 3},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SingleConvTest,
     ::testing::Combine(::testing::ValuesIn(kConvCases),
-                       ::testing::Values(4, 6)),
+                       ::testing::ValuesIn(kGeometries)),
     [](const ::testing::TestParamInfo<SingleConvTest::ParamType>& info) {
+      const Geometry& g = std::get<1>(info.param);
       return std::string(std::get<0>(info.param).label) + "_pt" +
+             std::to_string(g.pt) + "_pi" + std::to_string(g.pi) + "_po" +
+             std::to_string(g.po);
+    });
+
+// --- Extreme operands ---
+
+// Every input at an int16 rail (32767, -32767 or -32768) and every weight
+// at an int8 rail (127 or -128), at data_width 16. Half the input channels
+// hold one sign throughout, and half the kernels match those signs, so
+// their sums pass 2^31; the other operands are random rails, which drive
+// the PT 6 input transform towards 100 * 2^15. This pins the int64
+// accumulators and the int32 transform bound in both modes.
+class RailOperandTest
+    : public ::testing::TestWithParam<std::tuple<ConvMode, int>> {};
+
+TEST_P(RailOperandTest, MatchesGolden) {
+  const auto& [mode, pt] = GetParam();
+  constexpr int kC = 128, kK = 8;
+  const Model m = BuildSingleConv(kC, kK, 6, 6, 3, 1, 1, false);
+  AccelConfig cfg = TestConfig(pt);
+  cfg.data_width = 16;
+  Prng prng(11);
+  const auto rail = [&](int sign) -> std::int16_t {
+    if (sign > 0) return 32767;
+    return prng.NextInt(0, 1) == 0 ? -32767 : -32768;
+  };
+  const auto random_sign = [&] { return prng.NextInt(0, 1) == 0 ? 1 : -1; };
+  std::vector<int> channel_sign(kC);
+  for (int& sign : channel_sign) sign = random_sign();
+  Tensor<std::int16_t> input = MakeInput(m.InputOf(0), 8);
+  for (int c = 0; c < kC; ++c) {
+    for (int y = 0; y < 6; ++y) {
+      for (int x = 0; x < 6; ++x) {
+        input.at(c, y, x) =
+            rail(c < kC / 2 ? channel_sign[static_cast<std::size_t>(c)]
+                            : random_sign());
+      }
+    }
+  }
+  ModelWeightsQ weights = SyntheticWeights(m, 7);
+  Tensor<std::int8_t>& w = weights[0].weights;
+  for (int k = 0; k < kK; ++k) {
+    for (int c = 0; c < kC; ++c) {
+      const bool aligned = k < kK / 2 && c < kC / 2;
+      for (int r = 0; r < 3; ++r) {
+        for (int s = 0; s < 3; ++s) {
+          const int sign = aligned ? channel_sign[static_cast<std::size_t>(c)]
+                                   : random_sign();
+          w.at(k, c, r, s) = sign > 0 ? 127 : -128;
+        }
+      }
+    }
+  }
+  const auto r = RunEndToEnd(
+      m, cfg, TestSpec(), {LayerMapping{mode, Dataflow::kInputStationary}},
+      weights, input);
+  EXPECT_EQ(r.sim_out, r.golden_out);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, RailOperandTest,
+    ::testing::Combine(::testing::Values(ConvMode::kSpatial,
+                                         ConvMode::kWinograd),
+                       ::testing::Values(4, 6)),
+    [](const auto& info) {
+      return std::string(ToString(std::get<0>(info.param))) + "_pt" +
              std::to_string(std::get<1>(info.param));
     });
 

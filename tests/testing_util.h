@@ -117,19 +117,19 @@ struct EndToEndResult {
   CompiledModel compiled;
 };
 
-/// Compiles and runs `model` on the simulator with the given mapping, and
-/// computes the golden result for comparison. Also checks that a timing-only
-/// run of the same program, on a fresh Runtime, builds no DRAM and reports
-/// the functional run's SimStats and per-layer cycles exactly.
+/// Compiles and runs `model` on the simulator with the given mapping,
+/// weights and input, and computes the golden result for comparison. Also
+/// checks that a timing-only run of the same program, on a fresh Runtime,
+/// builds no DRAM and reports the functional run's SimStats and per-layer
+/// cycles exactly.
 inline EndToEndResult RunEndToEnd(const Model& model, const AccelConfig& cfg,
                                   const FpgaSpec& spec,
                                   std::vector<LayerMapping> mapping,
-                                  std::uint64_t seed = 7) {
+                                  const ModelWeightsQ& weights,
+                                  const Tensor<std::int16_t>& input) {
   const Compiler compiler(cfg, spec);
   EndToEndResult result;
   result.compiled = compiler.Compile(model, mapping);
-  const ModelWeightsQ weights = SyntheticWeights(model, seed);
-  const Tensor<std::int16_t> input = MakeInput(model.InputOf(0), seed + 1);
 
   Runtime runtime(cfg, spec);
   result.report = runtime.Execute(model, result.compiled, weights, input,
@@ -152,6 +152,16 @@ inline EndToEndResult RunEndToEnd(const Model& model, const AccelConfig& cfg,
   result.golden_out = GoldenForward(model, weights, input, effective, cfg,
                                     result.compiled.base_shift);
   return result;
+}
+
+/// RunEndToEnd on seeded synthetic weights and input.
+inline EndToEndResult RunEndToEnd(const Model& model, const AccelConfig& cfg,
+                                  const FpgaSpec& spec,
+                                  std::vector<LayerMapping> mapping,
+                                  std::uint64_t seed = 7) {
+  return RunEndToEnd(model, cfg, spec, std::move(mapping),
+                     SyntheticWeights(model, seed),
+                     MakeInput(model.InputOf(0), seed + 1));
 }
 
 /// Single-layer convenience wrapper.

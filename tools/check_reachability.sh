@@ -8,7 +8,8 @@
 # --gc-sections, and lists the archive's defined hdnn:: functions that no
 # program keeps. -O0 avoids the false positives of inlining (a function
 # every caller inlined looks unreached at -O2). Exits 1 when a listed
-# function is not on the keep-list. Run from anywhere:
+# function is not on the keep-list, or when a keep-list entry matches no
+# listed function (a stale entry). Run from anywhere:
 #
 #   tools/check_reachability.sh
 set -euo pipefail
@@ -32,7 +33,6 @@ hdnn::DseEngine::EnumerateCandidates  DseCandidatesTest's view of DSE step 1
 hdnn::InBufferBank                    the Table 1 bank-conflict oracle
 hdnn::Model::OutputShape              nine tests' view of the model output
 hdnn::CheckInstructionStream          the stream check's report view, for tests
-hdnn::InputTransformGrowth            bound for ROADMAP item 2's narrow sums
 hdnn::GenerateHlsConfigHeader         the paper's Step 3 output
 hdnn::FaultPlan::SerializeSchedule    the fault-schedule replay pin
 hdnn::FaultPlan::ScheduleDigest       the fault-schedule replay pin
@@ -80,6 +80,7 @@ paste <(c++filt -p < "$out/unreached.syms") \
   grep '^hdnn::' > "$out/unreached.txt" || true
 
 status=0
+declare -A matched  # keep-list entries that match an unreached function
 while IFS=$'\t' read -r name symbol; do
   name=${name%%(*}
   name=${name//\[abi:cxx11\]/}
@@ -88,6 +89,7 @@ while IFS=$'\t' read -r name symbol; do
     if [[ "$name" == "$entry" ||
           ("$entry" == *:: && "$name" == "$entry"*) ]]; then
       kept=1
+      matched["$entry"]=1
       break
     fi
   done <<< "$keep_list"
@@ -96,11 +98,17 @@ while IFS=$'\t' read -r name symbol; do
     status=1
   fi
 done < "$out/unreached.txt"
+while read -r entry _; do
+  if [[ -z "${matched["$entry"]:-}" ]]; then
+    echo "keep-list entry matches no unreached function: $entry"
+    status=1
+  fi
+done <<< "$keep_list"
 
 echo "$(wc -l < "$out/unreached.txt") hdnn:: functions no program reaches;" \
   "list: $out/unreached.txt"
 if [[ $status -ne 0 ]]; then
-  echo "Give each a program that calls it, delete it, or add it to the" \
-    "keep-list in $0 with its reason."
+  echo "Give each unreached function a program that calls it, delete it, or" \
+    "add it to the keep-list in $0 with its reason; drop stale entries."
 fi
 exit $status
