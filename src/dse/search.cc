@@ -36,10 +36,24 @@ constexpr int kMaxNi = 8;
 constexpr int kMaxPi = 16;
 constexpr double kTieFraction = 0.05;
 
+/// AssignBuffers' rule, per resource: both estimates within the device
+/// totals (the analytical model deliberately over-estimates BRAM, as the
+/// paper's own Table 3 shows), and the implementation estimate within the
+/// per-die headroom.
+ResourceFit FitsPlatform(const ResourceEstimate& ana,
+                         const ResourceEstimate& impl, const AccelConfig& cfg,
+                         const FpgaSpec& spec) {
+  const ResourceFit a = FitsDeviceLimits(ana, spec);
+  const ResourceFit i = FitsDeviceLimits(impl, spec);
+  const ResourceFit d = FitsPerDie(impl, cfg, spec);
+  return {a.luts && i.luts && d.luts, a.dsps && i.dsps && d.dsps,
+          a.bram18 && i.bram18 && d.bram18};
+}
+
 /// Why a platform has no candidate: the smallest one (PI = PO = 1, PT 4,
-/// NI 1, the last buffer rung) against each limit AssignBuffers applies —
-/// the device totals for the analytical model, the utilisation cap (per die
-/// on multi-die parts) for the implementation model.
+/// NI 1, the last buffer rung) and each resource on which it fails
+/// FitsPlatform, with both estimates against the device total and the
+/// spec's per-die headroom.
 CapacityError NoCandidateError(const FpgaSpec& spec) {
   AccelConfig cfg;
   cfg.pi = cfg.po = 1;
@@ -52,15 +66,15 @@ CapacityError NoCandidateError(const FpgaSpec& spec) {
   const ResourceEstimate ana = AnalyticalResources(cfg, spec, DefaultProfile());
   const ResourceEstimate impl =
       ImplementationResources(cfg, spec, DefaultProfile());
-  const bool multi_die = spec.dies > 1;
+  const ResourceFit fit = FitsPlatform(ana, impl, cfg, spec);
   const struct {
     const char* name;
+    bool fits;
     double ana, impl;
-    long long total, per_die;
-  } rows[] = {{"LUTs", ana.luts, impl.luts, spec.luts, spec.luts_per_die()},
-              {"DSPs", ana.dsps, impl.dsps, spec.dsps, spec.dsps_per_die()},
-              {"BRAM18", ana.bram18, impl.bram18, spec.bram18,
-               spec.bram18_per_die()}};
+    long long total;
+  } rows[] = {{"LUTs", fit.luts, ana.luts, impl.luts, spec.luts},
+              {"DSPs", fit.dsps, ana.dsps, impl.dsps, spec.dsps},
+              {"BRAM18", fit.bram18, ana.bram18, impl.bram18, spec.bram18}};
   std::ostringstream os;
   os << std::fixed << std::setprecision(1)
      << "no accelerator configuration fits platform " << spec.name
@@ -68,15 +82,14 @@ CapacityError NoCandidateError(const FpgaSpec& spec) {
      << " exceeds";
   const char* sep = " ";
   for (const auto& r : rows) {
-    const double impl_limit =
-        spec.max_utilization *
-        static_cast<double>(multi_die ? r.per_die : r.total);
-    if (r.ana <= static_cast<double>(r.total) && r.impl <= impl_limit) {
-      continue;
-    }
+    if (r.fits) continue;
     os << sep << r.name << " (needs " << r.ana << " analytical / " << r.impl
-       << " implementation, limits " << r.total << " / " << impl_limit << ")";
+       << " implementation of " << r.total << ")";
     sep = ", ";
+  }
+  if (spec.dies > 1 || spec.max_utilization < 1) {
+    os << " (" << spec.dies << " dies, max_utilization "
+       << std::setprecision(2) << spec.max_utilization << ")";
   }
   return CapacityError(os.str());
 }
@@ -108,15 +121,11 @@ bool DseEngine::AssignBuffers(AccelConfig& cfg, ResourceEstimate* analytical,
     cfg.input_buffer_vectors = rung.input;
     cfg.weight_buffer_vectors = rung.weight;
     cfg.output_buffer_vectors = rung.output;
-    // The analytical model is checked against the raw Table 2 limits (it
-    // deliberately over-estimates BRAM, as the paper's own Table 3 shows);
-    // the implementation model additionally honours the per-die headroom.
     const ResourceEstimate impl =
         ImplementationResources(cfg, spec_, DefaultProfile());
     const ResourceEstimate ana =
         AnalyticalResources(cfg, spec_, DefaultProfile());
-    if (FitsDeviceLimits(ana, spec_) && FitsDeviceLimits(impl, spec_) &&
-        FitsPerDie(impl, cfg, spec_)) {
+    if (FitsPlatform(ana, impl, cfg, spec_)) {
       if (analytical) *analytical = ana;
       if (implementation) *implementation = impl;
       return true;

@@ -135,26 +135,27 @@ ResourceEstimate ImplementationResources(const AccelConfig& cfg,
   return est;
 }
 
-bool FitsDeviceLimits(const ResourceEstimate& est, const FpgaSpec& spec) {
-  return est.luts <= spec.luts && est.dsps <= spec.dsps &&
-         est.bram18 <= spec.bram18;
+ResourceFit FitsDeviceLimits(const ResourceEstimate& est,
+                             const FpgaSpec& spec) {
+  return {est.luts <= spec.luts, est.dsps <= spec.dsps,
+          est.bram18 <= spec.bram18};
 }
 
-bool FitsPerDie(const ResourceEstimate& est, const AccelConfig& cfg,
-                const FpgaSpec& spec) {
+ResourceFit FitsPerDie(const ResourceEstimate& est, const AccelConfig& cfg,
+                       const FpgaSpec& spec) {
   if (spec.dies <= 1 || cfg.ni < 1) {
     const double cap = spec.max_utilization;
-    return est.luts <= cap * spec.luts && est.dsps <= cap * spec.dsps &&
-           est.bram18 <= cap * spec.bram18;
+    return {est.luts <= cap * spec.luts, est.dsps <= cap * spec.dsps,
+            est.bram18 <= cap * spec.bram18};
   }
   const double cap = spec.max_utilization;
   const int inst_per_die = static_cast<int>(CeilDiv(cfg.ni, spec.dies));
   const double per_inst_lut = est.luts / cfg.ni;
   const double per_inst_dsp = est.dsps / cfg.ni;
   const double per_inst_bram = est.bram18 / cfg.ni;
-  return inst_per_die * per_inst_lut <= cap * spec.luts_per_die() &&
-         inst_per_die * per_inst_dsp <= cap * spec.dsps_per_die() &&
-         inst_per_die * per_inst_bram <= cap * spec.bram18_per_die();
+  return {inst_per_die * per_inst_lut <= cap * spec.luts_per_die(),
+          inst_per_die * per_inst_dsp <= cap * spec.dsps_per_die(),
+          inst_per_die * per_inst_bram <= cap * spec.bram18_per_die()};
 }
 
 }  // namespace hdnn

@@ -37,15 +37,26 @@ ResourceEstimate ImplementationResources(const AccelConfig& cfg,
                                          const ProfileConstants& profile,
                                          bool hybrid = true);
 
+/// Per resource, whether an estimate is within a limit; true as a whole when
+/// all three are.
+struct ResourceFit {
+  bool luts = true;
+  bool dsps = true;
+  bool bram18 = true;
+
+  explicit operator bool() const { return luts && dsps && bram18; }
+};
+
 /// Raw device-limit check (paper Table 2: N_LUT < LUT, N_DSP < DSP,
 /// N_BRAM < BRAM).
-bool FitsDeviceLimits(const ResourceEstimate& est, const FpgaSpec& spec);
+ResourceFit FitsDeviceLimits(const ResourceEstimate& est,
+                             const FpgaSpec& spec);
 
 /// Per-die packing check for multi-die parts: instances must not straddle
 /// dies, and each die keeps max_utilization headroom for cross-die routing
 /// (paper Sec. 1). Applies to the implementation model.
-bool FitsPerDie(const ResourceEstimate& est, const AccelConfig& cfg,
-                const FpgaSpec& spec);
+ResourceFit FitsPerDie(const ResourceEstimate& est, const AccelConfig& cfg,
+                       const FpgaSpec& spec);
 
 }  // namespace hdnn
 

@@ -182,17 +182,4 @@ std::vector<double> TransformOutputTileF(std::span<const double> m_tile,
   return TileMatT<int, double, double>(atm, at, m, pt, m);
 }
 
-std::int64_t InputTransformGrowth(int pt) {
-  const auto bt = WinoBT(pt);
-  std::int64_t max_row_sum = 0;
-  for (int i = 0; i < pt; ++i) {
-    std::int64_t sum = 0;
-    for (int j = 0; j < pt; ++j) {
-      sum += std::abs(bt[static_cast<std::size_t>(i * pt + j)]);
-    }
-    max_row_sum = std::max(max_row_sum, sum);
-  }
-  return max_row_sum * max_row_sum;  // applied on both sides
-}
-
 }  // namespace hdnn

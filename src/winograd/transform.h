@@ -5,6 +5,7 @@
 #ifndef HDNN_WINOGRAD_TRANSFORM_H_
 #define HDNN_WINOGRAD_TRANSFORM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -41,7 +42,21 @@ std::vector<double> TransformOutputTileF(std::span<const double> m_tile,
 
 /// Worst-case growth factor of the integer input transform (product of max
 /// absolute row sums of BT applied twice); used to size PE datapaths.
-std::int64_t InputTransformGrowth(int pt);
+/// constexpr, so the simulator's int32 transform bound is a static_assert.
+constexpr std::int64_t InputTransformGrowth(int pt) {
+  if (pt != 4 && pt != 6) throw InvalidArgument("PT must be 4 or 6");
+  const int* const bt = pt == 4 ? kBT4.data() : kBT6.data();
+  std::int64_t max_row_sum = 0;
+  for (int i = 0; i < pt; ++i) {
+    std::int64_t sum = 0;
+    for (int j = 0; j < pt; ++j) {
+      const int c = bt[i * pt + j];
+      sum += c < 0 ? -c : c;
+    }
+    max_row_sum = std::max(max_row_sum, sum);
+  }
+  return max_row_sum * max_row_sum;  // applied on both sides
+}
 
 }  // namespace hdnn
 

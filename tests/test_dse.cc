@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dse/search.h"
 #include "frontend/parser.h"
 #include "nn/builders.h"
@@ -183,23 +186,42 @@ TEST(DseExploreTest, InfeasibleModelThrows) {
 
 TEST(DseExploreTest, PlatformWithoutCandidatesIsACapacityError) {
   // The smallest candidate (PI = PO = 1, PT 4, NI 1, the last buffer rung)
-  // needs 2315.5 LUTs / 57 DSPs / 34.7 BRAM18 by the analytical model and
-  // 8632 / 57 / 24 by the implementation model.
-  const FpgaSpec tiny = ParseFpgaSpecText(
-      "fpga tiny\nluts 2000\ndsps 40\nbram18 16\nbandwidth_gbps 1\n"
-      "freq_mhz 100\n");
-  try {
-    DseEngine(tiny).Explore(BuildTinyCnn());
-    ADD_FAILURE() << "a platform no candidate fits explored";
-  } catch (const CapacityError& e) {
-    EXPECT_STREQ(e.what(),
-                 "no accelerator configuration fits platform tiny: the "
-                 "smallest, AccelConfig{PI=1,PO=1,PT=4,NI=1} on the smallest "
-                 "buffers, exceeds LUTs (needs 2315.5 analytical / 8632.0 "
-                 "implementation, limits 2000 / 2000.0), DSPs (needs 57.0 "
-                 "analytical / 57.0 implementation, limits 40 / 40.0), BRAM18 "
-                 "(needs 34.7 analytical / 24.0 implementation, limits 16 / "
-                 "16.0)");
+  // needs about 2.3k analytical / 8.6k implementation LUTs, 57 DSPs and
+  // 35 / 24 BRAM18. The message names the platform and only the resources
+  // that candidate exceeds; on two dies at 0.8 utilisation, 9000 LUTs leave
+  // each die 3600.
+  const struct {
+    const char* text;
+    std::vector<const char*> named, absent;
+  } cases[] = {
+      {"fpga tiny\nluts 2000\ndsps 40\nbram18 16\n",
+       {"platform tiny", "LUTs", "DSPs", "BRAM18"},
+       {"dies"}},
+      {"fpga dsponly\nluts 200000\ndsps 40\nbram18 1000\n",
+       {"platform dsponly", "DSPs"},
+       {"LUTs", "BRAM18"}},
+      {"fpga twodie\nluts 9000\ndsps 200\nbram18 1000\ndies 2\n"
+       "max_utilization 0.8\n",
+       {"platform twodie", "LUTs", "2 dies, max_utilization 0.80"},
+       {"DSPs", "BRAM18"}},
+  };
+  for (const auto& c : cases) {
+    const FpgaSpec spec = ParseFpgaSpecText(
+        std::string(c.text) + "bandwidth_gbps 1\nfreq_mhz 100\n");
+    try {
+      DseEngine(spec).Explore(BuildTinyCnn());
+      ADD_FAILURE() << spec.name << ": a platform no candidate fits explored";
+    } catch (const CapacityError& e) {
+      const std::string what = e.what();
+      for (const char* needle : c.named) {
+        EXPECT_NE(what.find(needle), std::string::npos)
+            << needle << ": " << what;
+      }
+      for (const char* needle : c.absent) {
+        EXPECT_EQ(what.find(needle), std::string::npos)
+            << needle << ": " << what;
+      }
+    }
   }
 }
 
